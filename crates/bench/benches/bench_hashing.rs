@@ -1,6 +1,6 @@
 //! Criterion: the Fx-style hasher vs the default SipHash on the workloads
-//! that dominate blocking (token maps, pair keys) — the DESIGN.md hashing
-//! ablation.
+//! that dominate blocking (token maps, pair keys) — the evidence for
+//! `blast_datamodel::hash`.
 
 use blast_datamodel::hash::FastMap;
 use criterion::{criterion_group, criterion_main, Criterion};

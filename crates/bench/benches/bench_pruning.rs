@@ -1,5 +1,5 @@
 //! Criterion: pruning-algorithm ablation — WEP/CEP/WNP/CNP vs BLAST's
-//! local-max pruning, plus the c-constant sweep called out in DESIGN.md.
+//! local-max pruning, plus a sweep of BLAST's c constant (§3.3.2).
 
 use blast_blocking::filtering::BlockFiltering;
 use blast_blocking::purging::BlockPurging;

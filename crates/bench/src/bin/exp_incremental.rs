@@ -347,29 +347,13 @@ struct MemoryRun {
     /// (profiles inserted, estimated structure bytes, current RSS) at each
     /// commit point.
     trajectory: Vec<(usize, usize, Option<u64>)>,
-    /// Commits that landed on the degraded-full tier. The very first
-    /// commit initialises the blocker (structural) — beyond that, a
-    /// budgeted run must never degrade.
+    /// Commits that landed on the degraded-full tier (the very first
+    /// commit initialises the blocker, which is structural).
     commits_full: usize,
     /// Whether the kernel's peak-RSS high-water mark was reset before this
     /// run; peak comparisons across runs are only meaningful when both
     /// flags are true.
     rss_reset: bool,
-    /// Cold-tier figures of a budgeted run (`None` = unbudgeted).
-    cold: Option<ColdRun>,
-}
-
-/// Cold-tier accounting of one budgeted memory run.
-struct ColdRun {
-    budget_bytes: usize,
-    spill: bool,
-    evictions: u64,
-    rehydrations: u64,
-    /// Hot bytes of the three evictable structures, per profile.
-    hot_bytes_per_profile: f64,
-    /// Cold frame payload (in-memory arena + spill file), per profile.
-    cold_bytes_per_profile: f64,
-    spilled_bytes: usize,
 }
 
 /// Memory presets come from `BLAST_MEMORY_PRESETS` (comma-separated
@@ -401,7 +385,6 @@ fn run_memory(
     preset: &'static str,
     weigher: BenchWeigher,
     pruning: IncrementalPruning,
-    residency: Option<blast_incremental::ResidencyPolicy>,
 ) -> MemoryRun {
     // Bound block sizes at ~64 members regardless of the profile count, so
     // the footprint scales with the structures rather than with one
@@ -416,9 +399,6 @@ fn run_memory(
     // recorded so the JSON consumer knows whether peaks are comparable.
     let rss_reset = blast_metrics::reset_peak_rss();
     let mut pipeline = IncrementalPipeline::dirty(weigher, pruning, cleaning);
-    if let Some(policy) = residency {
-        pipeline = pipeline.with_residency(policy);
-    }
     let quarter = (d.len() / 4).max(1);
     let mut commits = 0usize;
     let mut trajectory: Vec<(usize, usize, Option<u64>)> = Vec::new();
@@ -449,20 +429,6 @@ fn run_memory(
     let equivalent = (d.len() <= 150_000)
         .then(|| pipeline.retained().pairs() == pipeline.batch_retained().pairs());
     let totals = CommitTotals::from_snapshot(&pipeline.metrics().snapshot());
-    let cold = residency.map(|policy| {
-        let stats = pipeline.cold_stats();
-        let hot_bytes = fp.index_bytes + fp.snapshot_bytes + fp.blocker_bytes;
-        ColdRun {
-            budget_bytes: policy.budget_bytes,
-            spill: policy.spill,
-            evictions: stats.evictions,
-            rehydrations: stats.rehydrations,
-            hot_bytes_per_profile: hot_bytes as f64 / d.len().max(1) as f64,
-            cold_bytes_per_profile: (stats.cold_bytes + stats.spilled_bytes) as f64
-                / d.len().max(1) as f64,
-            spilled_bytes: stats.spilled_bytes,
-        }
-    });
     MemoryRun {
         preset,
         scheme: weigher.name(),
@@ -480,7 +446,6 @@ fn run_memory(
         trajectory,
         commits_full: totals.tier_commits[2] as usize,
         rss_reset,
-        cold,
     }
 }
 
@@ -504,9 +469,10 @@ fn memory_phase() -> Vec<MemoryRun> {
                 IncrementalPruning::Traditional(PruningAlgorithm::Wep),
             ));
         }
-        let print_run = |r: &MemoryRun| {
+        for (weigher, pruning) in configs {
+            let r = run_memory(d, preset.label(), weigher, pruning);
             println!(
-                "{:<10} {:<6} {:<6} {:>9} {:>9.2}s  est {:>7.1} B/profile  peak rss {}{}",
+                "{:<10} {:<6} {:<6} {:>9} {:>9.2}s  est {:>7.1} B/profile  peak rss {}",
                 r.preset,
                 r.scheme,
                 r.pruning,
@@ -517,44 +483,9 @@ fn memory_phase() -> Vec<MemoryRun> {
                     "{:.1} MiB",
                     b as f64 / (1 << 20) as f64
                 )),
-                r.cold.as_ref().map_or(String::new(), |c| format!(
-                    "  [budget {:.1} MiB: {} evictions, {} rehydrations]",
-                    c.budget_bytes as f64 / (1 << 20) as f64,
-                    c.evictions,
-                    c.rehydrations
-                )),
             );
-        };
-        for (weigher, pruning) in configs {
-            let r = run_memory(d, preset.label(), weigher, pruning, None);
-            print_run(&r);
             runs.push(r);
         }
-        // Budgeted rerun of the WNP1 config: cap the evictable structures
-        // (index + snapshot + blocker) at a quarter of what the unbudgeted
-        // run used, spill the cold frames to disk, and demand the same
-        // answer. This is the bounded-memory configuration CI gates on.
-        let baseline = runs
-            .iter()
-            .rev()
-            .find(|r| r.preset == preset.label() && r.pruning == "wnp1" && r.cold.is_none())
-            .expect("unbudgeted wnp1 run precedes the budgeted rerun");
-        let budget =
-            (baseline.fp.index_bytes + baseline.fp.snapshot_bytes + baseline.fp.blocker_bytes) / 4;
-        let policy = blast_incremental::ResidencyPolicy {
-            budget_bytes: budget,
-            idle_commits: 1,
-            spill: true,
-        };
-        let r = run_memory(
-            d,
-            preset.label(),
-            BenchWeigher::Scheme(WeightingScheme::Cbs),
-            IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
-            Some(policy),
-        );
-        print_run(&r);
-        runs.push(r);
     }
     runs
 }
@@ -578,21 +509,9 @@ fn memory_json(runs: &[MemoryRun]) -> String {
                 )
             })
             .collect();
-        let cold_tier = r.cold.as_ref().map_or("null".to_string(), |c| {
-            format!(
-                "{{\"budget_bytes\": {}, \"spill\": {}, \"evictions\": {}, \"rehydrations\": {}, \"hot_bytes_per_profile\": {:.2}, \"cold_bytes_per_profile\": {:.2}, \"spilled_bytes\": {}}}",
-                c.budget_bytes,
-                c.spill,
-                c.evictions,
-                c.rehydrations,
-                c.hot_bytes_per_profile,
-                c.cold_bytes_per_profile,
-                c.spilled_bytes,
-            )
-        });
         let _ = writeln!(
             json,
-            "    {{\"preset\": \"{}\", \"scheme\": \"{}\", \"pruning\": \"{}\", \"profiles\": {}, \"commits\": {}, \"commits_full\": {}, \"elapsed_secs\": {:.3}, \"peak_rss_bytes\": {}, \"current_rss_bytes\": {}, \"rss_reset\": {}, \"live_edges\": {}, \"cached_accumulators\": {}, \"interned_tokens\": {}, \"store_bytes\": {}, \"index_bytes\": {}, \"snapshot_bytes\": {}, \"blocker_bytes\": {}, \"cold_bytes\": {}, \"spilled_bytes\": {}, \"estimated_bytes\": {}, \"bytes_per_profile\": {:.2}, \"bytes_per_edge\": {:.2}, \"retained\": {}, \"equivalent\": {}, \"cold_tier\": {}, \"trajectory\": [{}]}}{comma}",
+            "    {{\"preset\": \"{}\", \"scheme\": \"{}\", \"pruning\": \"{}\", \"profiles\": {}, \"commits\": {}, \"commits_full\": {}, \"elapsed_secs\": {:.3}, \"peak_rss_bytes\": {}, \"current_rss_bytes\": {}, \"rss_reset\": {}, \"live_edges\": {}, \"cached_accumulators\": {}, \"interned_tokens\": {}, \"store_bytes\": {}, \"index_bytes\": {}, \"snapshot_bytes\": {}, \"blocker_bytes\": {}, \"estimated_bytes\": {}, \"bytes_per_profile\": {:.2}, \"bytes_per_edge\": {:.2}, \"retained\": {}, \"equivalent\": {}, \"trajectory\": [{}]}}{comma}",
             r.preset,
             r.scheme,
             r.pruning,
@@ -610,14 +529,11 @@ fn memory_json(runs: &[MemoryRun]) -> String {
             r.fp.index_bytes,
             r.fp.snapshot_bytes,
             r.fp.blocker_bytes,
-            r.fp.cold_bytes,
-            r.fp.spilled_bytes,
             r.fp.total_bytes(),
             r.bytes_per_profile,
             r.bytes_per_edge,
             r.retained,
             r.equivalent.map_or("null".to_string(), |e| e.to_string()),
-            cold_tier,
             trajectory.join(", "),
         );
     }
@@ -874,20 +790,5 @@ fn main() {
             r.scheme,
             r.preset
         );
-        if let Some(c) = &r.cold {
-            assert!(
-                c.evictions > 0 && c.rehydrations > 0,
-                "{} budgeted run ({} bytes) never exercised the cold tier",
-                r.preset,
-                c.budget_bytes
-            );
-            assert!(
-                r.commits_full <= 1,
-                "{} budgeted run degraded to the full tier {} times — eviction must never \
-                 force a structural repair beyond the initialising commit",
-                r.preset,
-                r.commits_full
-            );
-        }
     }
 }

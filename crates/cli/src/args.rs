@@ -71,26 +71,6 @@ impl Args {
             .transpose()
     }
 
-    /// An optional byte-size option: a non-negative integer with an
-    /// optional binary `k`/`m`/`g` suffix (case-insensitive), e.g.
-    /// `--memory-budget 64m`. Zero is allowed — it is the evict-everything
-    /// extreme of the residency policy.
-    pub fn get_bytes(&self, key: &str) -> Result<Option<usize>, String> {
-        let Some(raw) = self.values.get(key) else {
-            return Ok(None);
-        };
-        let err =
-            || format!("--{key} expects a byte size (e.g. 512k, 64m, 2g, 1048576), got {raw:?}");
-        let (digits, mult) = match raw.chars().last().map(|c| c.to_ascii_lowercase()) {
-            Some('k') => (&raw[..raw.len() - 1], 1usize << 10),
-            Some('m') => (&raw[..raw.len() - 1], 1 << 20),
-            Some('g') => (&raw[..raw.len() - 1], 1 << 30),
-            _ => (raw.as_str(), 1),
-        };
-        let n: usize = digits.parse().map_err(|_| err())?;
-        n.checked_mul(mult).map(Some).ok_or_else(err)
-    }
-
     /// Whether a bare flag was passed.
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
@@ -169,25 +149,6 @@ mod tests {
         assert_eq!(a.get_usize("missing").unwrap(), None);
         assert!(a.get_usize("shards").is_err(), "zero rejected");
         assert!(a.get_usize("b").is_err());
-    }
-
-    #[test]
-    fn bytes_accept_plain_and_suffixed_sizes() {
-        let a = Args::parse(&s(&[
-            "--a", "1048576", "--b", "512k", "--c", "64M", "--d", "2g", "--e", "0", "--f", "64q",
-        ]))
-        .unwrap();
-        assert_eq!(a.get_bytes("a").unwrap(), Some(1 << 20));
-        assert_eq!(a.get_bytes("b").unwrap(), Some(512 << 10));
-        assert_eq!(a.get_bytes("c").unwrap(), Some(64 << 20));
-        assert_eq!(a.get_bytes("d").unwrap(), Some(2 << 30));
-        assert_eq!(
-            a.get_bytes("e").unwrap(),
-            Some(0),
-            "zero is the evict-everything budget"
-        );
-        assert_eq!(a.get_bytes("missing").unwrap(), None);
-        assert!(a.get_bytes("f").is_err(), "unknown suffix rejected");
     }
 
     #[test]

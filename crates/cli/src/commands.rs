@@ -223,7 +223,6 @@ fn trace_event(
 ) -> String {
     use blast_obs::trace::JsonObject;
     let fp = pipeline.footprint();
-    let cold = pipeline.cold_stats();
     JsonObject::new()
         .field_u64("seq", seq as u64)
         .field_u64("batch_profiles", batch_profiles as u64)
@@ -248,17 +247,13 @@ fn trace_event(
         .field_u64("cached_accumulators", fp.cached_accumulators as u64)
         .field_u64("interned_tokens", fp.interned_tokens as u64)
         .field_u64("resident_bytes", fp.total_bytes() as u64)
-        .field_u64("cold_evictions", cold.evictions)
-        .field_u64("cold_rehydrations", cold.rehydrations)
-        .field_u64("cold_resident_bytes", cold.cold_bytes as u64)
-        .field_u64("spilled_bytes", cold.spilled_bytes as u64)
         .finish()
 }
 
-/// Builds the incremental pipeline `blast stream`/`blast bench` share from
-/// the common options: `--pruning`, `--scheme`, `--no-cleaning`,
+/// Builds the incremental pipeline `blast stream`/`bench`/`serve` share
+/// from the common options: `--pruning`, `--scheme`, `--no-cleaning`,
 /// `--threads`, `--shards`.
-fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPipeline, String> {
+pub fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPipeline, String> {
     use blast_graph::meta::PruningAlgorithm;
     use blast_graph::weights::{EdgeWeigher as _, WeightingScheme};
     use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning};
@@ -273,14 +268,20 @@ fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPip
                 format!("--pruning must be blast|wep|cep|wnp1|wnp2|cnp1|cnp2, got {label:?}")
             })?,
     };
+    // `None` = BLAST's χ² weigher: named by `--scheme chi2`, and the default
+    // under blast pruning (CBS is the default for the traditional ones).
     let scheme = match args.get("scheme") {
-        None => None, // χ² for blast pruning, CBS otherwise
+        None if matches!(pruning, IncrementalPruning::Blast { .. }) => None,
+        None => Some(WeightingScheme::Cbs),
+        Some(name) if name.eq_ignore_ascii_case("chi2") => None,
         Some(name) => Some(
             WeightingScheme::ALL
                 .iter()
                 .find(|s| s.name().eq_ignore_ascii_case(name))
                 .copied()
-                .ok_or_else(|| format!("--scheme must be arcs|cbs|ecbs|js|ejs, got {name:?}"))?,
+                .ok_or_else(|| {
+                    format!("--scheme must be chi2|arcs|cbs|ecbs|js|ejs, got {name:?}")
+                })?,
         ),
     };
     let cleaning = if args.flag("no-cleaning") {
@@ -289,14 +290,13 @@ fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPip
         CleaningConfig::default()
     };
 
-    let mut pipeline = match (scheme, pruning) {
-        (Some(s), p) => IncrementalPipeline::dirty(s, p, cleaning),
-        (None, p @ IncrementalPruning::Blast { .. }) => IncrementalPipeline::dirty(
+    let mut pipeline = match scheme {
+        Some(s) => IncrementalPipeline::dirty(s, pruning, cleaning),
+        None => IncrementalPipeline::dirty(
             blast_core::weighting::ChiSquaredWeigher::without_entropy(),
-            p,
+            pruning,
             cleaning,
         ),
-        (None, p) => IncrementalPipeline::dirty(WeightingScheme::Cbs, p, cleaning),
     };
     let parallel = args.parallel_opts()?;
     if let Some(t) = parallel.threads {
@@ -304,17 +304,6 @@ fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPip
     }
     if let Some(s) = parallel.shards {
         pipeline = pipeline.with_shards(s);
-    }
-    match args.get_bytes("memory-budget")? {
-        Some(budget) => {
-            let mut policy = blast_incremental::ResidencyPolicy::budget(budget);
-            policy.spill = args.flag("spill");
-            pipeline = pipeline.with_residency(policy);
-        }
-        None if args.flag("spill") => {
-            return Err("--spill requires --memory-budget".to_string());
-        }
-        None => {}
     }
     Ok(pipeline)
 }
@@ -453,17 +442,6 @@ pub fn stream(args: &Args) -> Result<String, String> {
             fp.total_bytes() as f64 / 1024.0,
             fp.total_bytes() as f64 / d.len().max(1) as f64,
         );
-        if pipeline.residency().is_some() {
-            let cold = pipeline.cold_stats();
-            let _ = writeln!(
-                report,
-                "cold tier: {} evictions, {} rehydrations, {:.1} KiB cold resident, {:.1} KiB spilled",
-                cold.evictions,
-                cold.rehydrations,
-                cold.cold_bytes as f64 / 1024.0,
-                cold.spilled_bytes as f64 / 1024.0,
-            );
-        }
     }
     if let Some(mut w) = trace.take() {
         w.flush().map_err(|e| e.to_string())?;

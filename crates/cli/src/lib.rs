@@ -50,7 +50,8 @@ const DEDUP_USAGE: &str = "\
 const STREAM_USAGE: &str = "\
   blast stream   --input DATA.csv [--batch-size 64] [--gt gt.csv]
                  [--pruning blast|wep|cep|wnp1|wnp2|cnp1|cnp2]
-                 [--scheme arcs|cbs|ecbs|js|ejs] [--no-cleaning]
+                 [--scheme chi2|arcs|cbs|ecbs|js|ejs]  (default: chi2
+                 under blast pruning, cbs otherwise) [--no-cleaning]
                  [--verify]  (check the final candidate set against a
                  from-scratch batch run — the equivalence contract)
                  [--threads N]  (worker threads for the parallel phases;
@@ -62,13 +63,7 @@ const STREAM_USAGE: &str = "\
                  [--trace OUT.jsonl]  (structured trace journal: one JSON
                  event per commit — tier, phase secs, flips, footprint)
                  [--metrics OUT.prom]  (Prometheus text exposition of the
-                 pipeline's metrics registry after the run)
-                 [--memory-budget BYTES]  (cold-tier residency: rows idle
-                 for 2 commits demote to delta-encoded cold frames until
-                 the hot structures fit the budget; k/m/g suffixes; the
-                 output is bit-identical at any budget)
-                 [--spill]  (hold cold frames in an unlinked temp file
-                 instead of an in-memory arena; needs --memory-budget)";
+                 pipeline's metrics registry after the run)";
 
 const BENCH_USAGE: &str = "\
   blast bench    [--preset census] [--scale 0.05] [--batch-size 64]
@@ -77,8 +72,6 @@ const BENCH_USAGE: &str = "\
                  stream it, report commit throughput)
                  [--verify]  (check the final candidate set against a
                  from-scratch batch run)
-                 [--memory-budget BYTES] [--spill]  (cold-tier residency;
-                 see blast stream)
                  The BLAST_THREADS env var overrides the default thread
                  count when --threads is absent.";
 
@@ -91,10 +84,6 @@ const SERVE_USAGE: &str = "\
                  env var) [--shards S] [--pruning ...] [--scheme ...]
                  [--no-cleaning]
                  [--linger SECS]  (keep serving after the ingest drains)
-                 [--memory-budget BYTES] [--spill]  (cold-tier residency
-                 on the writer; readers never see a cold row — the writer
-                 rehydrates published neighbourhoods before each swap;
-                 see blast stream)
                  [--verify]  (gate on published == incremental == batch)
                  Streams the preset through the incremental pipeline on
                  the writer thread while serving /candidates, /topk,
@@ -161,9 +150,8 @@ const COMMANDS: &[Command] = &[
             "shards",
             "trace",
             "metrics",
-            "memory-budget",
         ],
-        flags: &["verify", "stats", "no-cleaning", "spill"],
+        flags: &["verify", "stats", "no-cleaning"],
         usage: STREAM_USAGE,
         run: commands::stream,
     },
@@ -177,9 +165,8 @@ const COMMANDS: &[Command] = &[
             "shards",
             "pruning",
             "scheme",
-            "memory-budget",
         ],
-        flags: &["verify", "no-cleaning", "spill"],
+        flags: &["verify", "no-cleaning"],
         usage: BENCH_USAGE,
         run: commands::bench,
     },
@@ -196,9 +183,8 @@ const COMMANDS: &[Command] = &[
             "shards",
             "pruning",
             "scheme",
-            "memory-budget",
         ],
-        flags: &["verify", "no-cleaning", "spill"],
+        flags: &["verify", "no-cleaning"],
         usage: SERVE_USAGE,
         run: commands::serve,
     },
@@ -323,8 +309,6 @@ mod tests {
         for block in [STREAM_USAGE, BENCH_USAGE, SERVE_USAGE] {
             assert!(block.contains("BLAST_THREADS"), "{block}");
             assert!(block.contains("--verify"), "{block}");
-            assert!(block.contains("--memory-budget"), "{block}");
-            assert!(block.contains("--spill"), "{block}");
         }
     }
 }

@@ -128,53 +128,6 @@ pub struct GraphSnapshot {
     threads_override: Option<usize>,
     /// Bumped on every applied delta.
     version: u64,
-    /// Two-tier slot residency (bounded-memory streaming); `None` until a
-    /// pipeline enables a memory budget.
-    residency: Option<Box<SlotResidency>>,
-}
-
-/// Cold-tier state of the snapshot's block memberships: per-slot frame
-/// handles, last-touch epochs, and the backing [`ColdStore`].
-///
-/// Demotion is writer-driven and so is rehydration: repair passes read
-/// memberships through `&self` from many workers at once, so a cold slot
-/// is **never** lazily rehydrated on read — the incremental blocker
-/// prefetches every slot its dirty neighbourhood can reach before the
-/// pass starts ([`GraphSnapshot::ensure_node_slots_resident`]), and a
-/// read that still lands on a cold slot is a bug surfaced by
-/// [`SlotResidency::assert_hot`]'s panic, not silent divergence.
-#[derive(Debug)]
-struct SlotResidency {
-    store: crate::cold::ColdStore,
-    /// `Some(frame)` = the slot's membership lives in the cold store and
-    /// `members[slot]` is an empty placeholder.
-    cold: Vec<Option<crate::cold::FrameRef>>,
-    /// Per-slot last-touch epoch (bumped once per `enforce`).
-    touch: Vec<u32>,
-    epoch: u32,
-}
-
-impl SlotResidency {
-    #[inline]
-    fn is_cold(&self, slot: usize) -> bool {
-        self.cold.get(slot).is_some_and(Option::is_some)
-    }
-
-    #[inline]
-    fn assert_hot(&self, slot: u32) {
-        assert!(
-            !self.is_cold(slot as usize),
-            "cold snapshot slot {slot} read without rehydration — a repair \
-             pass touched a slot outside its prefetched dirty neighbourhood"
-        );
-    }
-
-    fn grow(&mut self, slots: usize) {
-        if self.cold.len() < slots {
-            self.cold.resize(slots, None);
-            self.touch.resize(slots, self.epoch);
-        }
-    }
 }
 
 impl GraphSnapshot {
@@ -210,7 +163,6 @@ impl GraphSnapshot {
             threads,
             threads_override: None,
             version: 0,
-            residency: None,
         }
     }
 
@@ -238,7 +190,6 @@ impl GraphSnapshot {
             threads: 1,
             threads_override: None,
             version: 0,
-            residency: None,
         }
     }
 
@@ -303,17 +254,7 @@ impl GraphSnapshot {
                     e.resize(slot + 1, 1.0);
                 }
             }
-            let was_live = match &mut self.residency {
-                Some(r) if r.is_cold(slot) => {
-                    // Only live (non-empty) slots are ever demoted, and
-                    // the old membership is about to be overwritten, so
-                    // drop the frame without decoding it.
-                    let frame = r.cold[slot].take().expect("cold slot has a frame");
-                    r.store.free(frame);
-                    true
-                }
-                _ => !self.members[slot].is_empty(),
-            };
+            let was_live = !self.members[slot].is_empty();
             let split = patch.members.partition_point(|p| p.0 < self.separator) as u32;
             let card = if self.clean_clean {
                 split as u64 * (patch.members.len() as u64 - split as u64)
@@ -332,10 +273,6 @@ impl GraphSnapshot {
                 (false, true) => self.live_blocks += 1,
                 (true, false) => self.live_blocks -= 1,
                 _ => {}
-            }
-            if let Some(r) = &mut self.residency {
-                r.grow(self.members.len());
-                r.touch[slot] = r.epoch;
             }
         }
         for row in &delta.rows {
@@ -416,159 +353,6 @@ impl GraphSnapshot {
                 .as_ref()
                 .map_or(0, |d| d.capacity() * size_of::<u32>())
             + self.index.resident_bytes()
-            + self.residency.as_ref().map_or(0, |r| {
-                r.cold.capacity() * size_of::<Option<crate::cold::FrameRef>>()
-                    + r.touch.capacity() * size_of::<u32>()
-            })
-    }
-
-    /// Enables two-tier slot residency: cold memberships demote into a
-    /// [`crate::cold::ColdStore`] (spilled to `spill` when given) on
-    /// [`GraphSnapshot::enforce_slot_residency`] rounds. Idempotent.
-    pub fn enable_slot_residency(&mut self, spill: Option<Box<dyn crate::cold::SpillBackend>>) {
-        if self.residency.is_none() {
-            let store = match spill {
-                Some(backend) => crate::cold::ColdStore::spilled(backend),
-                None => crate::cold::ColdStore::in_memory(),
-            };
-            self.residency = Some(Box::new(SlotResidency {
-                store,
-                cold: Vec::new(),
-                touch: Vec::new(),
-                epoch: 0,
-            }));
-        }
-    }
-
-    /// Whether slot residency has been enabled.
-    pub fn slot_residency_enabled(&self) -> bool {
-        self.residency.is_some()
-    }
-
-    /// Cold-tier telemetry of the slot store (zeros when disabled).
-    pub fn slot_cold_stats(&self) -> crate::cold::ColdStats {
-        self.residency
-            .as_ref()
-            .map_or_else(Default::default, |r| r.store.stats())
-    }
-
-    /// Hot membership bytes eligible for demotion (0 when residency is
-    /// disabled — nothing is evictable then).
-    pub fn evictable_hot_bytes(&self) -> usize {
-        if self.residency.is_none() {
-            return 0;
-        }
-        self.members
-            .iter()
-            .map(|m| m.len() * std::mem::size_of::<ProfileId>())
-            .sum()
-    }
-
-    /// Rehydrates one slot if cold, and stamps its touch epoch.
-    fn rehydrate_slot(&mut self, slot: usize) {
-        let Some(r) = &mut self.residency else {
-            return;
-        };
-        r.grow(self.members.len());
-        if !r.is_cold(slot) {
-            r.touch[slot] = r.epoch;
-            return;
-        }
-        let frame = r.cold[slot].take().expect("cold slot has a frame");
-        let payload = r
-            .store
-            .get(frame)
-            .unwrap_or_else(|e| panic!("cold tier: snapshot slot {slot} unreadable: {e}"));
-        r.store.free(frame);
-        let mut ids: Vec<u32> = Vec::new();
-        let mut pos = 0;
-        crate::cold::decode_u32s(&payload, &mut pos, &mut ids);
-        debug_assert_eq!(pos, payload.len(), "slot frame fully consumed");
-        self.members[slot] = ids.into_iter().map(ProfileId).collect();
-        r.touch[slot] = r.epoch;
-    }
-
-    /// Writer-side prefetch: rehydrates the given slots before a repair
-    /// pass reads them through `&self`.
-    pub fn ensure_slots_resident<I: IntoIterator<Item = u32>>(&mut self, slots: I) {
-        if self.residency.is_none() {
-            return;
-        }
-        for s in slots {
-            let s = s as usize;
-            if s < self.members.len() {
-                self.rehydrate_slot(s);
-            }
-        }
-    }
-
-    /// Writer-side prefetch by node: rehydrates every slot on the given
-    /// nodes' CSR rows (the slots a dirty-neighbourhood pass can reach).
-    pub fn ensure_node_slots_resident<'a, I: IntoIterator<Item = &'a u32>>(&mut self, nodes: I) {
-        if self.residency.is_none() {
-            return;
-        }
-        let mut slots: Vec<u32> = Vec::new();
-        for &u in nodes {
-            slots.extend_from_slice(self.index.blocks_of(u));
-        }
-        slots.sort_unstable();
-        slots.dedup();
-        self.ensure_slots_resident(slots);
-    }
-
-    /// Rehydrates every cold slot (structural passes read the full graph).
-    pub fn ensure_all_slots_resident(&mut self) {
-        if self.residency.is_none() {
-            return;
-        }
-        for s in 0..self.members.len() {
-            self.rehydrate_slot(s);
-        }
-    }
-
-    /// One residency maintenance round (writer-side, once per commit):
-    /// demotes live memberships untouched for more than `idle` rounds,
-    /// then — while the remaining hot bytes exceed `target_hot_bytes` —
-    /// keeps demoting coldest-first. Deterministic: candidates are
-    /// ordered by `(last_touch, slot)`. `idle == 0` with a zero target
-    /// demotes everything every commit (the stress cadence).
-    pub fn enforce_slot_residency(&mut self, idle: u32, target_hot_bytes: usize) {
-        let Some(r) = &mut self.residency else {
-            return;
-        };
-        r.grow(self.members.len());
-        r.epoch += 1;
-        let mut hot_bytes = 0usize;
-        let mut candidates: Vec<(u32, u32)> = Vec::new();
-        for (slot, m) in self.members.iter().enumerate() {
-            if m.is_empty() || r.is_cold(slot) {
-                continue;
-            }
-            hot_bytes += m.len() * std::mem::size_of::<ProfileId>();
-            candidates.push((r.touch[slot], slot as u32));
-        }
-        candidates.sort_unstable();
-        let mut frame_buf = Vec::new();
-        let mut ids: Vec<u32> = Vec::new();
-        for (touch, slot) in candidates {
-            let stale = u64::from(touch) + u64::from(idle) < u64::from(r.epoch);
-            if !stale && hot_bytes <= target_hot_bytes {
-                break;
-            }
-            let m = std::mem::take(&mut self.members[slot as usize]);
-            hot_bytes -= m.len() * std::mem::size_of::<ProfileId>();
-            ids.clear();
-            ids.extend(m.iter().map(|p| p.0));
-            frame_buf.clear();
-            crate::cold::encode_u32s(&ids, &mut frame_buf);
-            r.cold[slot as usize] = Some(r.store.put(&frame_buf));
-        }
-        if r.store.wants_compaction() {
-            let refs: Vec<&mut crate::cold::FrameRef> =
-                r.cold.iter_mut().filter_map(|c| c.as_mut()).collect();
-            r.store.compact(refs);
-        }
     }
 
     /// Total number of (live) blocks |B|.
@@ -610,9 +394,6 @@ impl GraphSnapshot {
     /// The cleaned membership of one block slot (empty for dead slots).
     #[inline]
     pub fn slot_members(&self, slot: u32) -> &[ProfileId] {
-        if let Some(r) = &self.residency {
-            r.assert_hot(slot);
-        }
         &self.members[slot as usize]
     }
 
@@ -634,9 +415,6 @@ impl GraphSnapshot {
     /// itself, filtered by the caller) for dirty ones.
     #[inline]
     pub fn slot_neighbours(&self, slot: u32, node: u32) -> &[ProfileId] {
-        if let Some(r) = &self.residency {
-            r.assert_hot(slot);
-        }
         let members = &self.members[slot as usize];
         if self.clean_clean {
             let split = self.splits[slot as usize] as usize;
@@ -704,7 +482,6 @@ impl GraphSnapshot {
     /// [`crate::traversal::NodeScratch`] machinery every other pass uses,
     /// not a separate hashmap re-scan.
     pub fn ensure_degrees(&mut self) {
-        self.ensure_all_slots_resident();
         if self.degrees.is_some() {
             return;
         }

@@ -70,7 +70,6 @@
 //! * [`retained`] — the retained comparisons (the restructured block
 //!   collection: one block per surviving pair).
 
-pub mod cold;
 pub mod context;
 pub mod exact_sum;
 pub mod meta;
@@ -79,7 +78,6 @@ pub mod retained;
 pub mod traversal;
 pub mod weights;
 
-pub use cold::{ColdError, ColdStats, ColdStore, FrameRef, SpillBackend};
 pub use context::{ApplyStats, EdgeAccum, GraphSnapshot, RowPatch, SlotPatch, SnapshotDelta};
 pub use exact_sum::ExactSum;
 pub use meta::{MetaBlocker, PruningAlgorithm};

@@ -14,22 +14,22 @@ use blast_datamodel::entity::ProfileId;
 use std::collections::BinaryHeap;
 
 /// A heap entry ordered so that the heap's *maximum* is the candidate to
-/// evict first: lower weight is "greater", ties broken by *higher*
+/// drop first: lower weight is "greater", ties broken by *higher*
 /// neighbour id (the retained ranking is weight desc, id asc).
-struct Evictee(u32, f64);
+struct WorstFirst(u32, f64);
 
-impl PartialEq for Evictee {
+impl PartialEq for WorstFirst {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == std::cmp::Ordering::Equal
     }
 }
-impl Eq for Evictee {}
-impl PartialOrd for Evictee {
+impl Eq for WorstFirst {}
+impl PartialOrd for WorstFirst {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Evictee {
+impl Ord for WorstFirst {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         other
             .1
@@ -47,14 +47,14 @@ pub fn top_k_neighbours(adj: &[(u32, f64)], k: usize) -> Vec<u32> {
     if k == 0 || adj.is_empty() {
         return Vec::new();
     }
-    let mut heap: BinaryHeap<Evictee> = BinaryHeap::with_capacity(k + 1);
+    let mut heap: BinaryHeap<WorstFirst> = BinaryHeap::with_capacity(k + 1);
     for &(v, w) in adj {
-        heap.push(Evictee(v, w));
+        heap.push(WorstFirst(v, w));
         if heap.len() > k {
             heap.pop();
         }
     }
-    // Ascending `Evictee` order is best-first: weight desc, id asc.
+    // Ascending `WorstFirst` order is best-first: weight desc, id asc.
     heap.into_sorted_vec().into_iter().map(|e| e.0).collect()
 }
 

@@ -155,7 +155,7 @@ impl IncrementalCleaner {
         // 1. Refresh cached cardinalities of the touched keys.
         for &k in &drain.keys {
             self.cardinality[k as usize] =
-                index.with_postings(k, |p| raw_cardinality(p, clean_clean, separator));
+                raw_cardinality(&index.key(k).postings, clean_clean, separator);
         }
 
         // 2. Purging: per-key length test. A threshold move re-evaluates the
@@ -169,7 +169,7 @@ impl IncrementalCleaner {
         let mut flipped: Vec<KeyId> = Vec::new();
         let mut present_of = |this: &mut Self, k: KeyId| {
             let e = index.key(k);
-            let now = this.cardinality[k as usize] > 0 && e.postings_len() <= max_profiles;
+            let now = this.cardinality[k as usize] > 0 && e.postings.len() <= max_profiles;
             if now != this.present[k as usize] {
                 this.present[k as usize] = now;
                 flipped.push(k);
@@ -191,7 +191,7 @@ impl IncrementalCleaner {
                 let hi = max_profiles.min(total_profiles as usize);
                 for len in (prev + 1)..=hi {
                     for &k in index.keys_of_len(len) {
-                        if index.key(k).postings_len() == len {
+                        if index.key(k).postings.len() == len {
                             present_of(self, k);
                         }
                     }
@@ -230,11 +230,11 @@ impl IncrementalCleaner {
         filter_dirty.extend_from_slice(&drain.removed_members);
         for &k in drain.keys.iter() {
             if self.present[k as usize] || flipped.binary_search(&k).is_ok() {
-                index.with_postings(k, |p| filter_dirty.extend(p.iter().map(|p| p.0)));
+                filter_dirty.extend(index.key(k).postings.iter().map(|p| p.0));
             }
         }
         for &k in &threshold_flipped {
-            index.with_postings(k, |p| filter_dirty.extend(p.iter().map(|p| p.0)));
+            filter_dirty.extend(index.key(k).postings.iter().map(|p| p.0));
         }
         filter_dirty.sort_unstable();
         filter_dirty.dedup();

@@ -35,13 +35,11 @@
 use crate::shard::{merge_shard_runs, ShardPlan, ShardStats};
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::parallel_work_steal;
-use blast_graph::cold::{decode_u32s, encode_u32s, get_f64, get_varint, put_f64, put_varint};
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
 use blast_graph::exact_sum::ExactSum;
 use blast_graph::pruning::common::{weight_rank_bits, EpochMask};
 use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
-use blast_graph::{ColdStats, ColdStore, FrameRef, SpillBackend};
 use blast_obs::{names, LazyCounter};
 
 /// Bulk treap rebuilds (degraded-full and heavy-drift paths), recorded
@@ -568,26 +566,6 @@ pub struct EdgeAdjacency {
     /// accumulator's tally differs bitwise from the derived
     /// `common_blocks as f64` value (see `CachedEdge`).
     ent: Option<Vec<Vec<f64>>>,
-    /// Cold-tier state when the pipeline runs under a memory budget.
-    residency: Option<Box<AdjResidency>>,
-}
-
-/// A demoted adjacency row: its frame plus the entry count (so the
-/// footprint counters stay exact without a decode).
-#[derive(Debug, Clone, Copy)]
-struct ColdRow {
-    frame: FrameRef,
-    len: u32,
-}
-
-/// Residency state of a budgeted adjacency: the cold frame store, one
-/// optional cold slot per row, and per-row last-touch epochs.
-#[derive(Debug)]
-struct AdjResidency {
-    store: ColdStore,
-    cold: Vec<Option<ColdRow>>,
-    touch: Vec<u32>,
-    epoch: u32,
 }
 
 impl EdgeAdjacency {
@@ -604,12 +582,6 @@ impl EdgeAdjacency {
         if let Some(ent) = &mut self.ent {
             if ent.len() < n {
                 ent.resize_with(n, Vec::new);
-            }
-        }
-        if let Some(r) = self.residency.as_deref_mut() {
-            if r.cold.len() < n {
-                r.cold.resize(n, None);
-                r.touch.resize(n, r.epoch);
             }
         }
     }
@@ -633,278 +605,12 @@ impl EdgeAdjacency {
     /// bit-identical to the tallies the entries were inserted with.
     fn promote_entropy(&mut self) {
         debug_assert!(self.ent.is_none());
-        // Promotion derives the side rows from the packed entries, so
-        // every row must be hot while it runs.
-        self.ensure_all_hot();
         self.ent = Some(
             self.rows
                 .iter()
                 .map(|row| row.iter().map(Self::derived_entropy).collect())
                 .collect(),
         );
-    }
-
-    /// Encodes one row (and its entropy side row, when promoted) into a
-    /// cold frame payload: ascending neighbour ids delta-compress, weights
-    /// and ARCS sums are raw `f64` bits — lossless either way.
-    fn encode_row(row: &[CachedEdge], ent: Option<&[f64]>, out: &mut Vec<u8>) {
-        out.push(ent.is_some() as u8);
-        let vs: Vec<u32> = row.iter().map(|e| e.v).collect();
-        encode_u32s(&vs, out);
-        for e in row {
-            put_varint(out, e.common_blocks as u64);
-        }
-        for e in row {
-            put_f64(out, e.w);
-        }
-        for e in row {
-            put_f64(out, e.arcs);
-        }
-        if let Some(ent) = ent {
-            for &x in ent {
-                put_f64(out, x);
-            }
-        }
-    }
-
-    /// Decodes an [`EdgeAdjacency::encode_row`] payload.
-    fn decode_row(bytes: &[u8]) -> (Vec<CachedEdge>, Option<Vec<f64>>) {
-        let mut pos = 0;
-        let has_ent = bytes[pos] != 0;
-        pos += 1;
-        let mut vs: Vec<u32> = Vec::new();
-        decode_u32s(bytes, &mut pos, &mut vs);
-        let mut row: Vec<CachedEdge> = vs
-            .into_iter()
-            .map(|v| CachedEdge {
-                w: 0.0,
-                arcs: 0.0,
-                v,
-                common_blocks: 0,
-            })
-            .collect();
-        for e in &mut row {
-            e.common_blocks = get_varint(bytes, &mut pos) as u32;
-        }
-        for e in &mut row {
-            e.w = get_f64(bytes, &mut pos);
-        }
-        for e in &mut row {
-            e.arcs = get_f64(bytes, &mut pos);
-        }
-        let ent = has_ent.then(|| (0..row.len()).map(|_| get_f64(bytes, &mut pos)).collect());
-        (row, ent)
-    }
-
-    /// Runs `f` over node `u`'s row and entropy side row. Hot rows are
-    /// borrowed directly; cold ones decode transiently under `&self`
-    /// (counted as a rehydration, not promoted) — shared read paths stay
-    /// correct at any eviction cadence.
-    fn with_row<R>(&self, u: u32, f: impl FnOnce(&[CachedEdge], Option<&[f64]>) -> R) -> R {
-        let ui = u as usize;
-        if ui >= self.rows.len() {
-            return f(&[], None);
-        }
-        if let Some(r) = self.residency.as_deref() {
-            if let Some(cold) = r.cold.get(ui).copied().flatten() {
-                let bytes = r
-                    .store
-                    .get(cold.frame)
-                    .unwrap_or_else(|e| panic!("cold tier: adjacency row {u} lost: {e}"));
-                let (row, ent) = Self::decode_row(&bytes);
-                let ent: Option<Vec<f64>> = match (&self.ent, ent) {
-                    (Some(_), Some(e)) => Some(e),
-                    (Some(_), None) => Some(row.iter().map(Self::derived_entropy).collect()),
-                    (None, _) => None,
-                };
-                return f(&row, ent.as_deref());
-            }
-        }
-        f(
-            &self.rows[ui],
-            self.ent.as_ref().map(|ent| ent[ui].as_slice()),
-        )
-    }
-
-    /// Entry count of node `u`'s row, hot or cold (no decode).
-    fn row_len(&self, u: usize) -> usize {
-        if let Some(r) = self.residency.as_deref() {
-            if let Some(c) = r.cold.get(u).copied().flatten() {
-                return c.len as usize;
-            }
-        }
-        self.rows[u].len()
-    }
-
-    /// Promotes a cold row back to its hot `Vec`s and stamps its touch
-    /// epoch. Every mutation path goes through this.
-    fn ensure_row_hot(&mut self, u: u32) {
-        let Some(r) = self.residency.as_deref_mut() else {
-            return;
-        };
-        let ui = u as usize;
-        if ui >= r.cold.len() {
-            return;
-        }
-        if let Some(cold) = r.cold[ui].take() {
-            let bytes = r
-                .store
-                .get(cold.frame)
-                .unwrap_or_else(|e| panic!("cold tier: adjacency row {u} lost: {e}"));
-            r.store.free(cold.frame);
-            let (row, ent) = Self::decode_row(&bytes);
-            if let Some(side) = &mut self.ent {
-                side[ui] = ent.unwrap_or_else(|| row.iter().map(Self::derived_entropy).collect());
-            }
-            self.rows[ui] = row;
-        }
-        r.touch[ui] = r.epoch;
-    }
-
-    /// Rehydrates the given rows ahead of a repair pass (the blocker's
-    /// prefetch hook).
-    pub fn ensure_rows(&mut self, nodes: &[u32]) {
-        if self.residency.is_none() {
-            return;
-        }
-        for &u in nodes {
-            self.ensure_row_hot(u);
-        }
-    }
-
-    /// Rehydrates every cold row — the full-sweep passes (tier-2 reweigh,
-    /// entropy promotion) scan all rows and re-demotion is the eviction
-    /// policy's job afterwards.
-    fn ensure_all_hot(&mut self) {
-        if self.residency.is_none() {
-            return;
-        }
-        for u in 0..self.rows.len() as u32 {
-            let is_cold = self
-                .residency
-                .as_deref()
-                .is_some_and(|r| r.cold.get(u as usize).copied().flatten().is_some());
-            if is_cold {
-                self.ensure_row_hot(u);
-            }
-        }
-    }
-
-    // -- cold-tier residency ------------------------------------------------
-
-    /// Turns on cold-tier residency (idempotent). With a `spill` backend
-    /// the demoted frames leave memory entirely.
-    pub fn enable_residency(&mut self, spill: Option<Box<dyn SpillBackend>>) {
-        if self.residency.is_some() {
-            return;
-        }
-        let store = match spill {
-            Some(backend) => ColdStore::spilled(backend),
-            None => ColdStore::in_memory(),
-        };
-        self.residency = Some(Box::new(AdjResidency {
-            store,
-            cold: vec![None; self.rows.len()],
-            touch: vec![0; self.rows.len()],
-            epoch: 0,
-        }));
-    }
-
-    /// Whether a memory budget is active on this adjacency.
-    pub fn residency_enabled(&self) -> bool {
-        self.residency.is_some()
-    }
-
-    /// Cold-tier telemetry (zeros when residency is off).
-    pub fn cold_stats(&self) -> ColdStats {
-        self.residency
-            .as_ref()
-            .map(|r| r.store.stats())
-            .unwrap_or_default()
-    }
-
-    /// Hot row bytes the eviction policy could demote (0 when residency
-    /// is off).
-    pub fn evictable_hot_bytes(&self) -> usize {
-        if self.residency.is_none() {
-            return 0;
-        }
-        let ent = self.ent.is_some();
-        self.rows
-            .iter()
-            .map(|row| Self::hot_row_bytes(row.len(), ent))
-            .sum()
-    }
-
-    #[inline]
-    fn hot_row_bytes(len: usize, ent: bool) -> usize {
-        len * std::mem::size_of::<CachedEdge>()
-            + if ent {
-                len * std::mem::size_of::<f64>()
-            } else {
-                0
-            }
-    }
-
-    /// One eviction round over the adjacency rows — same deterministic
-    /// `(touch epoch, node id)` policy as the block index.
-    pub fn enforce_residency(&mut self, idle_commits: u32, target_hot_bytes: usize) {
-        if self.residency.is_none() {
-            return;
-        }
-        let epoch = {
-            let r = self.residency.as_deref_mut().unwrap();
-            r.epoch += 1;
-            if r.cold.len() < self.rows.len() {
-                r.cold.resize(self.rows.len(), None);
-                r.touch.resize(self.rows.len(), r.epoch);
-            }
-            r.epoch
-        };
-        let has_ent = self.ent.is_some();
-        let mut hot_bytes = 0usize;
-        let mut candidates: Vec<(u32, u32)> = Vec::new();
-        {
-            let r = self.residency.as_deref().unwrap();
-            for (u, row) in self.rows.iter().enumerate() {
-                if row.is_empty() {
-                    continue;
-                }
-                hot_bytes += Self::hot_row_bytes(row.len(), has_ent);
-                candidates.push((r.touch[u], u as u32));
-            }
-        }
-        candidates.sort_unstable();
-        let mut scratch = Vec::new();
-        for (touch, u) in candidates {
-            let stale = (touch as u64) + (idle_commits as u64) < epoch as u64;
-            if !stale && hot_bytes <= target_hot_bytes {
-                break;
-            }
-            let row = std::mem::take(&mut self.rows[u as usize]);
-            let ent_row = self
-                .ent
-                .as_mut()
-                .map(|ent| std::mem::take(&mut ent[u as usize]));
-            hot_bytes -= Self::hot_row_bytes(row.len(), has_ent);
-            scratch.clear();
-            Self::encode_row(&row, ent_row.as_deref(), &mut scratch);
-            let r = self.residency.as_deref_mut().unwrap();
-            let frame = r.store.put(&scratch);
-            r.cold[u as usize] = Some(ColdRow {
-                frame,
-                len: row.len() as u32,
-            });
-        }
-        let r = self.residency.as_deref_mut().unwrap();
-        if r.store.wants_compaction() {
-            let AdjResidency { store, cold, .. } = r;
-            let refs: Vec<&mut FrameRef> = cold
-                .iter_mut()
-                .filter_map(|c| c.as_mut().map(|c| &mut c.frame))
-                .collect();
-            store.compact(refs);
-        }
     }
 
     /// Reconstructs the full accumulator of entry `i` on row `u` —
@@ -923,16 +629,14 @@ impl EdgeAdjacency {
     }
 
     /// Number of live edges in the cache (each mirrored entry pair counts
-    /// once), cold rows included — the `--stats` footprint counter.
-    /// O(rows).
+    /// once) — the `--stats` footprint counter. O(rows).
     pub fn live_edges(&self) -> usize {
-        self.cached_accumulators() / 2
+        self.rows.iter().map(Vec::len).sum::<usize>() / 2
     }
 
-    /// Number of cached accumulator entries (two mirrors per live edge),
-    /// cold rows included.
+    /// Number of cached accumulator entries (two mirrors per live edge).
     pub fn cached_accumulators(&self) -> usize {
-        (0..self.rows.len()).map(|u| self.row_len(u)).sum()
+        self.rows.iter().map(Vec::len).sum()
     }
 
     /// Estimated resident heap footprint in bytes: packed entry capacity,
@@ -950,11 +654,7 @@ impl EdgeAdjacency {
         });
         let headers = (self.rows.capacity() + self.ent.as_ref().map_or(0, Vec::capacity))
             * std::mem::size_of::<Vec<f64>>();
-        let residency = self.residency.as_ref().map_or(0, |r| {
-            r.cold.capacity() * std::mem::size_of::<Option<ColdRow>>()
-                + r.touch.capacity() * std::mem::size_of::<u32>()
-        });
-        entries + ent + headers + residency
+        entries + ent + headers
     }
 
     /// The live edges with at least one endpoint in the mask, canonical
@@ -963,15 +663,13 @@ impl EdgeAdjacency {
     pub fn collect_touching(&self, dirty: &[u32], mask: &EpochMask) -> Vec<(u32, u32, f64)> {
         let mut out = Vec::new();
         for &u in dirty {
-            self.with_row(u, |row, _| {
-                for e in row {
-                    // Emit once: from the smaller endpoint when both are
-                    // dirty, from the dirty endpoint otherwise.
-                    if u < e.v || !mask.contains(e.v) {
-                        out.push((u.min(e.v), u.max(e.v), e.w));
-                    }
+            for e in &self.rows[u as usize] {
+                // Emit once: from the smaller endpoint when both are
+                // dirty, from the dirty endpoint otherwise.
+                if u < e.v || !mask.contains(e.v) {
+                    out.push((u.min(e.v), u.max(e.v), e.w));
                 }
-            });
+            }
         }
         out.sort_unstable_by_key(|&(a, b, _)| (a, b));
         out
@@ -983,21 +681,19 @@ impl EdgeAdjacency {
     /// on the dirty-neighbourhood tier.
     pub fn all_edges(&self) -> Vec<(u32, u32, f64)> {
         let mut out = Vec::new();
-        for u in 0..self.rows.len() as u32 {
-            self.with_row(u, |row, _| {
-                for e in row {
-                    if e.v > u {
-                        out.push((u, e.v, e.w));
-                    }
+        for (u, row) in self.rows.iter().enumerate() {
+            let u = u as u32;
+            for e in row {
+                if e.v > u {
+                    out.push((u, e.v, e.w));
                 }
-            });
+            }
         }
         out
     }
 
     /// Drops every edge, keeping row allocations (the degraded-full
-    /// rebuild path; O(rows), allowed there and only there). Cold frames
-    /// are dropped too; the cumulative telemetry counters persist.
+    /// rebuild path; O(rows), allowed there and only there).
     pub fn clear(&mut self) {
         for row in &mut self.rows {
             row.clear();
@@ -1006,12 +702,6 @@ impl EdgeAdjacency {
             for row in ent {
                 row.clear();
             }
-        }
-        if let Some(r) = self.residency.as_deref_mut() {
-            for slot in &mut r.cold {
-                *slot = None;
-            }
-            r.store.clear();
         }
     }
 
@@ -1048,8 +738,6 @@ impl EdgeAdjacency {
         if self.ent.is_none() && Self::needs_entropy(&acc) {
             self.promote_entropy();
         }
-        self.ensure_row_hot(a);
-        self.ensure_row_hot(b);
         for (x, y) in [(a, b), (b, a)] {
             let row = &mut self.rows[x as usize];
             let i = row
@@ -1072,8 +760,6 @@ impl EdgeAdjacency {
 
     /// Removes one edge (both mirror rows).
     pub fn remove_edge(&mut self, a: u32, b: u32) {
-        self.ensure_row_hot(a);
-        self.ensure_row_hot(b);
         for (x, y) in [(a, b), (b, a)] {
             let row = &mut self.rows[x as usize];
             let i = row
@@ -1092,8 +778,6 @@ impl EdgeAdjacency {
         if self.ent.is_none() && Self::needs_entropy(&acc) {
             self.promote_entropy();
         }
-        self.ensure_row_hot(a);
-        self.ensure_row_hot(b);
         for (x, y) in [(a, b), (b, a)] {
             let row = &mut self.rows[x as usize];
             let i = row
@@ -1124,16 +808,13 @@ impl EdgeAdjacency {
         weigher: &dyn EdgeWeigher,
         mut f: impl FnMut(u32, f64),
     ) {
-        self.with_row(u, |row, ent| {
+        if let Some(row) = self.rows.get(u as usize) {
             for (i, entry) in row.iter().enumerate() {
-                let acc = EdgeAccum {
-                    common_blocks: entry.common_blocks,
-                    arcs: entry.arcs,
-                    entropy_sum: ent.map_or_else(|| Self::derived_entropy(entry), |e| e[i]),
-                };
-                f(entry.v, weigher.weight(ctx, u, entry.v, &acc));
+                let v = entry.v;
+                let acc = self.acc_at(u as usize, i);
+                f(v, weigher.weight(ctx, u, v, &acc));
             }
-        });
+        }
     }
 
     /// The **reweigh tier's** sweep: re-derives the weight of every edge
@@ -1154,10 +835,6 @@ impl EdgeAdjacency {
         weigher: &dyn EdgeWeigher,
         mask: &EpochMask,
     ) -> Vec<(u32, u32, f64, f64)> {
-        // The sweep reads and patches every clean row: rehydrate up front
-        // (an eviction round landing before a tier-2 commit must not
-        // change what the sweep sees).
-        self.ensure_all_hot();
         let mut swept: Vec<(u32, u32, f64, f64)> = Vec::new();
         for u in 0..self.rows.len() as u32 {
             let u_marked = mask.contains(u);
@@ -1207,7 +884,6 @@ impl EdgeAdjacency {
         plan: &ShardPlan,
         threads: usize,
     ) -> (Vec<(u32, u32, f64, f64)>, ShardStats) {
-        self.ensure_all_hot();
         let n = self.rows.len();
         let owned = plan.owned_nodes(n);
         // Shard-major scan order: chunk-ordered concatenation of the

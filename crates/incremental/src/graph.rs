@@ -91,7 +91,6 @@ use blast_graph::pruning::common::{collect_accums_touching, node_pass_subset, Ep
 use blast_graph::pruning::{cnp, Cep, Cnp, NodeCentricMode, Wep, Wnp};
 use blast_graph::retained::{RetainedIndex, RetainedPairs};
 use blast_graph::weights::EdgeWeigher;
-use blast_graph::{ColdStats, SpillBackend};
 use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -433,49 +432,6 @@ impl IncrementalMetaBlocker {
                 .map_or(0, |c| c.pairs().len() * size_of::<(u32, u32)>())
     }
 
-    /// Whether this variant maintains the edge-accumulator cache — the
-    /// structure the blocker's cold tier lives on.
-    pub fn has_edge_cache(&self) -> bool {
-        self.adj.is_some()
-    }
-
-    /// Whether a memory budget is active on the edge cache.
-    pub fn residency_enabled(&self) -> bool {
-        self.adj
-            .as_ref()
-            .is_some_and(EdgeAdjacency::residency_enabled)
-    }
-
-    /// Turns on cold-tier residency for the edge cache (no-op for
-    /// variants that never build one; idempotent otherwise).
-    pub fn enable_residency(&mut self, spill: Option<Box<dyn SpillBackend>>) {
-        if let Some(adj) = &mut self.adj {
-            adj.enable_residency(spill);
-        }
-    }
-
-    /// Cold-tier telemetry of the edge cache (zeros when off).
-    pub fn cold_stats(&self) -> ColdStats {
-        self.adj
-            .as_ref()
-            .map(EdgeAdjacency::cold_stats)
-            .unwrap_or_default()
-    }
-
-    /// Hot edge-cache bytes the eviction policy could demote.
-    pub fn evictable_hot_bytes(&self) -> usize {
-        self.adj
-            .as_ref()
-            .map_or(0, EdgeAdjacency::evictable_hot_bytes)
-    }
-
-    /// One eviction round over the edge-cache rows.
-    pub fn enforce_residency(&mut self, idle_commits: u32, target_hot_bytes: usize) {
-        if let Some(adj) = &mut self.adj {
-            adj.enforce_residency(idle_commits, target_hot_bytes);
-        }
-    }
-
     fn node_centric_mode(&self) -> NodeCentricMode {
         match self.pruning {
             IncrementalPruning::Traditional(PruningAlgorithm::Wnp1)
@@ -531,9 +487,6 @@ impl IncrementalMetaBlocker {
         // nodes, except on the degraded-full path where dirty *is* all.
         self.mask.begin(n);
         let dirty: Vec<u32> = if structural {
-            // The structural pass reads every block: rehydrate the whole
-            // snapshot up front (re-demotion is the eviction policy's job).
-            ctx.ensure_all_slots_resident();
             self.mask.mark_all();
             (0..n as u32).collect()
         } else {
@@ -544,9 +497,6 @@ impl IncrementalMetaBlocker {
                 }
             }
             if deps.node_blocks {
-                // The co-member expansion below walks these nodes' block
-                // slots — rehydrate them first.
-                ctx.ensure_node_slots_resident(scope.lists_changed.iter());
                 let direct = d.len();
                 for &u in &scope.lists_changed {
                     for &slot in ctx.index().blocks_of(u) {
@@ -565,13 +515,6 @@ impl IncrementalMetaBlocker {
         };
 
         // ---- artefact stage: re-accumulate the dirty-incident edges ----
-        // Prefetch the dirty neighbourhood's snapshot slots before any
-        // pass runs: the accumulation and node passes read slots under
-        // `&ctx` from parallel workers, which must never fault a cold
-        // slot in.
-        if !structural {
-            ctx.ensure_node_slots_resident(dirty.iter());
-        }
         let fresh_accs = collect_accums_touching(ctx, &dirty, &self.mask);
 
         // The old dirty-incident edges (old weights), read off the cached
@@ -592,9 +535,6 @@ impl IncrementalMetaBlocker {
             // maintainer, or the non-full adjacency patch.
             Some(adj) if edge_variant || needs_degrees || !structural => {
                 adj.ensure_nodes(n);
-                // The dirty rows are about to be read and then patched:
-                // promote them once instead of transient-decoding twice.
-                adj.ensure_rows(&dirty);
                 adj.collect_touching(&dirty, &self.mask)
             }
             Some(adj) => {

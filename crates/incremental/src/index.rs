@@ -23,29 +23,16 @@ use blast_blocking::collection::BlockCollection;
 use blast_blocking::key::ClusterId;
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::interner::{Interner, Symbol};
-use blast_graph::cold::{decode_u32s, encode_u32s};
-use blast_graph::{ColdStats, ColdStore, FrameRef, SpillBackend};
 
 /// Stable handle of a `(cluster, token)` key in the slab.
 pub type KeyId = u32;
-
-/// Where a posting list currently lives: in its hot `Vec` or demoted to a
-/// delta-encoded frame in the index's [`ColdStore`].
-#[derive(Debug, Clone)]
-enum PostingsSlot {
-    Hot(Vec<ProfileId>),
-    Cold { frame: FrameRef, len: u32 },
-}
 
 /// One blocking key and its members.
 ///
 /// The token is an interned [`Symbol`] — each distinct token string is
 /// stored once in the index's interner no matter how many clusters carry
-/// it, so the slab entry stays fixed-size and posting maintenance never
-/// touches string storage. Posting lists are read through
-/// [`IncrementalBlockIndex::with_postings`] (a budgeted index may hold
-/// them in the cold tier) and their length through
-/// [`KeyEntry::postings_len`].
+/// it, so the slab entry is a fixed 32 bytes and posting maintenance never
+/// touches string storage.
 #[derive(Debug, Clone)]
 pub struct KeyEntry {
     /// The attribute cluster the key belongs to.
@@ -53,37 +40,8 @@ pub struct KeyEntry {
     /// Interned token (without the `#c` disambiguation suffix); resolve via
     /// [`IncrementalBlockIndex::token_str`] / [`IncrementalBlockIndex::canon_key`].
     pub token: Symbol,
-    /// Sorted global profile ids currently carrying this key, hot or cold.
-    slot: PostingsSlot,
-}
-
-impl KeyEntry {
-    /// Number of profiles currently carrying this key (no decode — cold
-    /// slots record their length in the handle).
-    #[inline]
-    pub fn postings_len(&self) -> usize {
-        match &self.slot {
-            PostingsSlot::Hot(v) => v.len(),
-            PostingsSlot::Cold { len, .. } => *len as usize,
-        }
-    }
-
-    /// Whether the posting list is currently demoted to the cold tier.
-    #[inline]
-    pub fn is_cold(&self) -> bool {
-        matches!(self.slot, PostingsSlot::Cold { .. })
-    }
-}
-
-/// Residency state of a budgeted index: the cold frame store plus a
-/// per-key last-touch epoch driving the idle-eviction policy.
-#[derive(Debug)]
-struct IndexResidency {
-    store: ColdStore,
-    /// Epoch of the last mutation of each key (parallel to `keys`).
-    touch: Vec<u32>,
-    /// Bumped once per [`IncrementalBlockIndex::enforce_residency`] round.
-    epoch: u32,
+    /// Sorted global profile ids currently carrying this key.
+    pub postings: Vec<ProfileId>,
 }
 
 /// What changed since the last [`IncrementalBlockIndex::drain_dirty`].
@@ -131,8 +89,6 @@ pub struct IncrementalBlockIndex {
     dirty_keys: Vec<KeyId>,
     removed_members: Vec<u32>,
     touched_profiles: Vec<u32>,
-    /// Cold-tier state when the pipeline runs under a memory budget.
-    residency: Option<Box<IndexResidency>>,
 }
 
 impl IncrementalBlockIndex {
@@ -152,7 +108,6 @@ impl IncrementalBlockIndex {
             dirty_keys: Vec::new(),
             removed_members: Vec::new(),
             touched_profiles: Vec::new(),
-            residency: None,
         }
     }
 
@@ -166,31 +121,6 @@ impl IncrementalBlockIndex {
     #[inline]
     pub fn key(&self, id: KeyId) -> &KeyEntry {
         &self.keys[id as usize]
-    }
-
-    /// Runs `f` over the posting list of `id`. Hot lists are borrowed
-    /// directly; cold ones are decoded transiently (counted as a
-    /// rehydration, but **not** promoted — read-only passes like the batch
-    /// snapshot must not drag the whole index hot again).
-    pub fn with_postings<R>(&self, id: KeyId, f: impl FnOnce(&[ProfileId]) -> R) -> R {
-        match &self.keys[id as usize].slot {
-            PostingsSlot::Hot(v) => f(v),
-            PostingsSlot::Cold { frame, len } => {
-                let r = self
-                    .residency
-                    .as_ref()
-                    .expect("cold posting list without residency state");
-                let bytes = r
-                    .store
-                    .get(*frame)
-                    .unwrap_or_else(|e| panic!("cold tier: posting list of key {id} lost: {e}"));
-                let mut pos = 0;
-                let mut ids: Vec<u32> = Vec::with_capacity(*len as usize);
-                decode_u32s(&bytes, &mut pos, &mut ids);
-                let members: Vec<ProfileId> = ids.into_iter().map(ProfileId).collect();
-                f(&members)
-            }
-        }
     }
 
     /// The key ids in canonical `(cluster, token)` order (including keys
@@ -243,16 +173,8 @@ impl IncrementalBlockIndex {
             + self
                 .keys
                 .iter()
-                .map(|e| match &e.slot {
-                    PostingsSlot::Hot(v) => v.capacity() * size_of::<ProfileId>(),
-                    PostingsSlot::Cold { .. } => 0,
-                })
+                .map(|e| e.postings.capacity() * size_of::<ProfileId>())
                 .sum::<usize>()
-            + self
-                .residency
-                .as_ref()
-                .map(|r| r.touch.capacity() * size_of::<u32>())
-                .unwrap_or(0)
             + self.tokens.resident_bytes()
             + self
                 .token_keys
@@ -398,12 +320,15 @@ impl IncrementalBlockIndex {
             .iter()
             .filter_map(|&kid| {
                 let entry = &self.keys[kid as usize];
-                if entry.postings_len() == 0 {
+                if entry.postings.is_empty() {
                     return None;
                 }
-                let block = self.with_postings(kid, |postings| {
-                    Block::new(self.label(kid), entry.cluster, postings.to_vec(), separator)
-                });
+                let block = Block::new(
+                    self.label(kid),
+                    entry.cluster,
+                    entry.postings.clone(),
+                    separator,
+                );
                 block.is_valid(clean_clean).then_some(block)
             })
             .collect();
@@ -433,37 +358,12 @@ impl IncrementalBlockIndex {
         self.keys.push(KeyEntry {
             cluster,
             token,
-            slot: PostingsSlot::Hot(Vec::new()),
+            postings: Vec::new(),
         });
         self.token_keys[token.index()].push((cluster, id));
         self.dirty_flags.push(false);
-        if let Some(r) = self.residency.as_deref_mut() {
-            r.touch.push(r.epoch);
-        }
         self.sorted.insert(pos, id);
         id
-    }
-
-    /// Promotes a cold posting list back to its hot `Vec` and stamps the
-    /// key's touch epoch. Mutations always go through this, so postings
-    /// being patched are guaranteed hot.
-    fn ensure_hot(&mut self, key: KeyId) {
-        let Some(r) = self.residency.as_deref_mut() else {
-            return;
-        };
-        if let PostingsSlot::Cold { frame, len } = self.keys[key as usize].slot {
-            let bytes = r
-                .store
-                .get(frame)
-                .unwrap_or_else(|e| panic!("cold tier: posting list of key {key} lost: {e}"));
-            r.store.free(frame);
-            let mut pos = 0;
-            let mut ids: Vec<u32> = Vec::with_capacity(len as usize);
-            decode_u32s(&bytes, &mut pos, &mut ids);
-            self.keys[key as usize].slot =
-                PostingsSlot::Hot(ids.into_iter().map(ProfileId).collect());
-        }
-        r.touch[key as usize] = r.epoch;
     }
 
     fn mark_dirty(&mut self, key: KeyId) {
@@ -474,10 +374,7 @@ impl IncrementalBlockIndex {
     }
 
     fn add_member(&mut self, key: KeyId, pid: u32) {
-        self.ensure_hot(key);
-        let PostingsSlot::Hot(postings) = &mut self.keys[key as usize].slot else {
-            unreachable!("ensure_hot promoted the slot")
-        };
+        let postings = &mut self.keys[key as usize].postings;
         let pos = postings.partition_point(|p| p.0 < pid);
         debug_assert!(
             postings.get(pos).map(|p| p.0) != Some(pid),
@@ -490,10 +387,7 @@ impl IncrementalBlockIndex {
     }
 
     fn remove_member(&mut self, key: KeyId, pid: u32) {
-        self.ensure_hot(key);
-        let PostingsSlot::Hot(postings) = &mut self.keys[key as usize].slot else {
-            unreachable!("ensure_hot promoted the slot")
-        };
+        let postings = &mut self.keys[key as usize].postings;
         let pos = postings.partition_point(|p| p.0 < pid);
         debug_assert_eq!(postings.get(pos).map(|p| p.0), Some(pid), "missing member");
         postings.remove(pos);
@@ -517,129 +411,15 @@ impl IncrementalBlockIndex {
             let keys = &self.keys;
             bucket.sort_unstable();
             bucket.dedup();
-            bucket.retain(|&k| keys[k as usize].postings_len() == len);
+            bucket.retain(|&k| keys[k as usize].postings.len() == len);
         }
     }
 
     /// The keys that at some point held exactly `len` postings (lazy
     /// bucket: entries may be stale — callers must re-check
-    /// `key(k).postings_len()` — and may repeat).
+    /// `key(k).postings.len()` — and may repeat).
     pub fn keys_of_len(&self, len: usize) -> &[KeyId] {
         self.by_len.get(len).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    // -- cold-tier residency ------------------------------------------------
-
-    /// Turns on cold-tier residency (idempotent). With a `spill` backend
-    /// the demoted frames leave memory entirely; otherwise they live in a
-    /// compact in-memory arena.
-    pub fn enable_residency(&mut self, spill: Option<Box<dyn SpillBackend>>) {
-        if self.residency.is_some() {
-            return;
-        }
-        let store = match spill {
-            Some(backend) => ColdStore::spilled(backend),
-            None => ColdStore::in_memory(),
-        };
-        self.residency = Some(Box::new(IndexResidency {
-            store,
-            touch: vec![0; self.keys.len()],
-            epoch: 0,
-        }));
-    }
-
-    /// Whether a memory budget is active on this index.
-    pub fn residency_enabled(&self) -> bool {
-        self.residency.is_some()
-    }
-
-    /// Cold-tier telemetry (zeros when residency is off).
-    pub fn cold_stats(&self) -> ColdStats {
-        self.residency
-            .as_ref()
-            .map(|r| r.store.stats())
-            .unwrap_or_default()
-    }
-
-    /// Hot posting-list bytes the eviction policy could demote (0 when
-    /// residency is off — an unbudgeted index never evicts).
-    pub fn evictable_hot_bytes(&self) -> usize {
-        use std::mem::size_of;
-        if self.residency.is_none() {
-            return 0;
-        }
-        self.keys
-            .iter()
-            .map(|e| match &e.slot {
-                PostingsSlot::Hot(v) if !v.is_empty() => v.len() * size_of::<ProfileId>(),
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// One eviction round: demotes every non-empty hot posting list idle
-    /// for more than `idle_commits` rounds, then keeps demoting
-    /// coldest-first until hot posting bytes fit `target_hot_bytes`.
-    /// Deterministic: candidates are ordered by `(touch epoch, key id)`.
-    pub fn enforce_residency(&mut self, idle_commits: u32, target_hot_bytes: usize) {
-        use std::mem::size_of;
-        if self.residency.is_none() {
-            return;
-        }
-        let epoch = {
-            let r = self.residency.as_deref_mut().unwrap();
-            r.epoch += 1;
-            r.epoch
-        };
-        let mut hot_bytes = 0usize;
-        let mut candidates: Vec<(u32, KeyId)> = Vec::new();
-        {
-            let r = self.residency.as_deref().unwrap();
-            for (i, e) in self.keys.iter().enumerate() {
-                if let PostingsSlot::Hot(v) = &e.slot {
-                    if v.is_empty() {
-                        continue;
-                    }
-                    hot_bytes += v.len() * size_of::<ProfileId>();
-                    candidates.push((r.touch[i], i as KeyId));
-                }
-            }
-        }
-        candidates.sort_unstable();
-        let mut scratch = Vec::new();
-        for (touch, kid) in candidates {
-            let stale = (touch as u64) + (idle_commits as u64) < epoch as u64;
-            if !stale && hot_bytes <= target_hot_bytes {
-                break;
-            }
-            let PostingsSlot::Hot(v) = &mut self.keys[kid as usize].slot else {
-                continue;
-            };
-            let members = std::mem::take(v);
-            hot_bytes -= members.len() * size_of::<ProfileId>();
-            scratch.clear();
-            let ids: Vec<u32> = members.iter().map(|p| p.0).collect();
-            encode_u32s(&ids, &mut scratch);
-            let r = self.residency.as_deref_mut().unwrap();
-            let frame = r.store.put(&scratch);
-            self.keys[kid as usize].slot = PostingsSlot::Cold {
-                frame,
-                len: members.len() as u32,
-            };
-        }
-        if let Some(r) = self.residency.as_deref_mut() {
-            if r.store.wants_compaction() {
-                let refs: Vec<&mut FrameRef> = self
-                    .keys
-                    .iter_mut()
-                    .filter_map(|e| match &mut e.slot {
-                        PostingsSlot::Cold { frame, .. } => Some(frame),
-                        _ => None,
-                    })
-                    .collect();
-                r.store.compact(refs);
-            }
-        }
     }
 }
 

@@ -70,8 +70,6 @@ pub use cleaner::{CleaningConfig, IncrementalCleaner};
 pub use decision::{ContainmentIndex, EdgeAdjacency, EdgeKey, Frontier, OrderedWeightIndex};
 pub use graph::{IncrementalMetaBlocker, IncrementalPruning, PairDelta, RepairStats, RepairTier};
 pub use index::IncrementalBlockIndex;
-pub use pipeline::{
-    CommitOutcome, CommitTimings, IncrementalPipeline, MemoryFootprint, ResidencyPolicy,
-};
+pub use pipeline::{CommitOutcome, CommitTimings, IncrementalPipeline, MemoryFootprint};
 pub use shard::{ShardPlan, ShardStats};
 pub use store::{MutableProfileStore, StoreMode};

@@ -44,8 +44,6 @@ use blast_datamodel::tokenizer::Tokenizer;
 use blast_graph::context::GraphSnapshot;
 use blast_graph::retained::RetainedPairs;
 use blast_graph::weights::EdgeWeigher;
-use blast_graph::{ColdStats, SpillBackend};
-use blast_io::TempSpillFile;
 use blast_obs::{CommitMetrics, CommitRecord};
 use std::time::Instant;
 
@@ -78,60 +76,12 @@ pub struct MemoryFootprint {
     pub snapshot_bytes: usize,
     /// Meta-blocker: adjacency, decision structure, per-node artefacts.
     pub blocker_bytes: usize,
-    /// Cold-tier frames resident in memory (delta-encoded evicted rows
-    /// across the index, snapshot and blocker arenas). Disjoint from the
-    /// hot `*_bytes` fields — a row is counted exactly once, in whichever
-    /// tier it currently occupies.
-    pub cold_bytes: usize,
-    /// Cold-tier frames held by a spill backend (on disk, not resident).
-    pub spilled_bytes: usize,
 }
 
 impl MemoryFootprint {
-    /// Sum of the resident byte estimates: the four hot structures plus
-    /// in-memory cold frames. Spilled bytes live on disk and are excluded.
+    /// Sum of the per-structure byte estimates.
     pub fn total_bytes(&self) -> usize {
-        self.store_bytes
-            + self.index_bytes
-            + self.snapshot_bytes
-            + self.blocker_bytes
-            + self.cold_bytes
-    }
-}
-
-/// The cold-tier residency knobs of a budgeted pipeline (see
-/// [`IncrementalPipeline::with_residency`]).
-///
-/// At the end of every commit the enforcer splits `budget_bytes` across
-/// the three evictable structures (index postings, snapshot block slots,
-/// blocker adjacency rows) proportionally to their current hot footprint,
-/// demotes rows untouched for `idle_commits` commits, and keeps demoting
-/// coldest-first while a structure sits over its share. Any setting is
-/// bit-identical to the unbudgeted pipeline — the knobs trade memory for
-/// rehydration work, never the answer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResidencyPolicy {
-    /// Target hot bytes across the evictable structures. `0` demotes
-    /// every evictable row each commit (the adversarial extreme).
-    pub budget_bytes: usize,
-    /// Commits a row may sit untouched before it becomes stale. `0`
-    /// demotes rows the moment the enforcer sees them, including rows the
-    /// current commit touched.
-    pub idle_commits: u32,
-    /// Spill cold frames to an unlinked temp file instead of holding them
-    /// in an in-memory arena.
-    pub spill: bool,
-}
-
-impl ResidencyPolicy {
-    /// The default knobs for a byte budget: rows idle for 2 commits are
-    /// evictable, frames stay in memory.
-    pub fn budget(budget_bytes: usize) -> Self {
-        ResidencyPolicy {
-            budget_bytes,
-            idle_commits: 2,
-            spill: false,
-        }
+        self.store_bytes + self.index_bytes + self.snapshot_bytes + self.blocker_bytes
     }
 }
 
@@ -169,11 +119,6 @@ pub struct IncrementalPipeline {
     /// The pipeline's metrics registry (one per pipeline, so concurrent
     /// pipelines in one process never bleed into each other's counters).
     metrics: CommitMetrics,
-    /// Cold-tier residency policy; `None` = never evict.
-    residency: Option<ResidencyPolicy>,
-    /// Cumulative (evictions, rehydrations) already reported to the
-    /// metrics registry — the per-commit record carries the delta.
-    cold_seen: (u64, u64),
 }
 
 impl std::fmt::Debug for IncrementalPipeline {
@@ -231,8 +176,6 @@ impl IncrementalPipeline {
             pending: false,
             pending_index_secs: 0.0,
             metrics: CommitMetrics::new(),
-            residency: None,
-            cold_seen: (0, 0),
         }
     }
 
@@ -305,95 +248,6 @@ impl IncrementalPipeline {
         self.blocker.set_shards(shards);
     }
 
-    /// Bounds the hot footprint of the evictable structures to
-    /// `budget_bytes` with the default residency knobs (see
-    /// [`ResidencyPolicy::budget`]). Commit outcomes stay bit-identical to
-    /// the unbudgeted pipeline at any budget.
-    pub fn with_memory_budget(self, budget_bytes: usize) -> Self {
-        self.with_residency(ResidencyPolicy::budget(budget_bytes))
-    }
-
-    /// Attaches a full cold-tier residency policy. Safe to set before or
-    /// between commits; outcomes stay bit-identical.
-    pub fn with_residency(mut self, policy: ResidencyPolicy) -> Self {
-        self.residency = Some(policy);
-        self
-    }
-
-    /// Mid-stream variant of [`IncrementalPipeline::with_residency`].
-    pub fn set_residency(&mut self, policy: Option<ResidencyPolicy>) {
-        self.residency = policy;
-    }
-
-    /// The active residency policy, if any.
-    pub fn residency(&self) -> Option<ResidencyPolicy> {
-        self.residency
-    }
-
-    /// Aggregate cold-tier counters over the three evictable structures
-    /// (cumulative since the policy was attached).
-    pub fn cold_stats(&self) -> ColdStats {
-        let mut stats = self.index.cold_stats();
-        stats.merge(&self.snapshot.slot_cold_stats());
-        stats.merge(&self.blocker.cold_stats());
-        stats
-    }
-
-    /// Rehydrates the snapshot slots of `nodes` ahead of read-only access
-    /// that bypasses `commit` — the serving layer calls this on the writer
-    /// before stamping published candidate weights, so readers never see a
-    /// cold slot.
-    pub fn prepare_reads(&mut self, nodes: &[u32]) {
-        self.snapshot.ensure_node_slots_resident(nodes.iter());
-    }
-
-    fn spill_backend(policy: &ResidencyPolicy) -> Option<Box<dyn SpillBackend>> {
-        policy.spill.then(|| {
-            Box::new(TempSpillFile::create().expect("create cold-tier spill file"))
-                as Box<dyn SpillBackend>
-        })
-    }
-
-    /// The end-of-commit residency sweep: lazily arm the three structures,
-    /// split the budget proportionally to their hot footprints, and let
-    /// each demote stale/over-budget rows. The blocker is armed only once
-    /// its edge cache exists (the first structural pass creates it), so a
-    /// spill file is never opened for a structure that owns no rows.
-    fn enforce_residency(&mut self) {
-        let Some(policy) = self.residency else { return };
-        if !self.index.residency_enabled() {
-            self.index.enable_residency(Self::spill_backend(&policy));
-        }
-        if !self.snapshot.slot_residency_enabled() {
-            self.snapshot
-                .enable_slot_residency(Self::spill_backend(&policy));
-        }
-        if self.blocker.has_edge_cache() && !self.blocker.residency_enabled() {
-            self.blocker.enable_residency(Self::spill_backend(&policy));
-        }
-        let hot = [
-            self.index.evictable_hot_bytes(),
-            self.snapshot.evictable_hot_bytes(),
-            self.blocker.evictable_hot_bytes(),
-        ];
-        let total: usize = hot.iter().sum();
-        let share = |h: usize| {
-            if total == 0 {
-                policy.budget_bytes
-            } else {
-                ((policy.budget_bytes as u128 * h as u128) / total as u128) as usize
-            }
-        };
-        self.index
-            .enforce_residency(policy.idle_commits, share(hot[0]));
-        self.snapshot
-            .enforce_slot_residency(policy.idle_commits, share(hot[1]));
-        if self.blocker.residency_enabled() {
-            self.blocker
-                .enforce_residency(policy.idle_commits, share(hot[2]));
-        }
-    }
-
     /// The mutable store (read access).
     pub fn store(&self) -> &MutableProfileStore {
         &self.store
@@ -429,11 +283,7 @@ impl IncrementalPipeline {
     }
 
     /// The pipeline's resident-footprint counters (see [`MemoryFootprint`]).
-    /// The per-structure `*_bytes` count hot state only; evicted rows
-    /// appear once, under `cold_bytes` (in-memory frames) or
-    /// `spilled_bytes` (on disk).
     pub fn footprint(&self) -> MemoryFootprint {
-        let cold = self.cold_stats();
         MemoryFootprint {
             live_edges: self.blocker.live_edges(),
             cached_accumulators: self.blocker.cached_accumulators(),
@@ -442,8 +292,6 @@ impl IncrementalPipeline {
             index_bytes: self.index.resident_bytes(),
             snapshot_bytes: self.snapshot.resident_bytes(),
             blocker_bytes: self.blocker.resident_bytes(),
-            cold_bytes: cold.cold_bytes,
-            spilled_bytes: cold.spilled_bytes,
         }
     }
 
@@ -556,14 +404,6 @@ impl IncrementalPipeline {
         stats.patched_rows = applied.patched_rows;
         stats.patched_slots = applied.patched_slots;
         let retained_len = self.blocker.retained_len();
-        // Demote cold rows *after* the repair settled — eviction never
-        // observes (or perturbs) in-flight repair state, so any budget or
-        // cadence leaves the commit outcome bit-identical.
-        self.enforce_residency();
-        let cold = self.cold_stats();
-        let cold_evictions = cold.evictions - self.cold_seen.0;
-        let cold_rehydrations = cold.rehydrations - self.cold_seen.1;
-        self.cold_seen = (cold.evictions, cold.rehydrations);
         // Record the commit into the pipeline's registry. Gauge sources are
         // all O(1) reads — `footprint()`'s byte estimates are O(n) and stay
         // off the commit path.
@@ -591,9 +431,6 @@ impl IncrementalPipeline {
             cached_accumulators: self.blocker.cached_accumulators() as i64,
             interned_symbols: self.index.interned_tokens() as i64,
             shard_imbalance_permille: stats.shard_imbalance_permille as i64,
-            cold_evictions,
-            cold_rehydrations,
-            cold_resident_bytes: cold.cold_bytes as i64,
         });
         CommitOutcome {
             delta,
@@ -827,53 +664,6 @@ mod tests {
         assert_eq!(fp.live_edges, 0);
         assert_eq!(fp.cached_accumulators, 0);
         assert_eq!(fp.interned_tokens, 3, "interned strings are permanent");
-    }
-
-    #[test]
-    fn zero_budget_stream_matches_batch_and_evicts() {
-        // budget 0 + idle 0: every evictable row is demoted after every
-        // commit — the adversarial extreme of the residency policy.
-        let mut p =
-            IncrementalPipeline::dirty(WeightingScheme::Cbs, wnp1(), CleaningConfig::default())
-                .with_residency(ResidencyPolicy {
-                    budget_bytes: 0,
-                    idle_commits: 0,
-                    spill: false,
-                });
-        let rows = [
-            "john abram jr car seller 1985 main street",
-            "ellen smith 85 retail abram st 30 ny",
-            "jon jr abram 85 car retail main st",
-            "ellen smith may 10 1985 retailer abram street ny",
-            "marie curie physics",
-        ];
-        for (i, row) in rows.iter().enumerate() {
-            p.insert(SourceId(0), &format!("p{i}"), [("text", *row)]);
-            p.commit();
-            assert_eq!(p.retained().pairs(), p.batch_retained().pairs(), "step {i}");
-        }
-        let cold = p.cold_stats();
-        assert!(cold.evictions > 0, "zero budget must demote rows");
-        assert!(cold.rehydrations > 0, "later commits must read cold rows");
-        let fp = p.footprint();
-        assert!(fp.cold_bytes > 0, "frames stay in the in-memory arena");
-        assert_eq!(fp.spilled_bytes, 0, "spill disabled");
-        // Spilled variant: identical answers, frames on disk.
-        let mut s =
-            IncrementalPipeline::dirty(WeightingScheme::Cbs, wnp1(), CleaningConfig::default())
-                .with_residency(ResidencyPolicy {
-                    budget_bytes: 0,
-                    idle_commits: 0,
-                    spill: true,
-                });
-        for (i, row) in rows.iter().enumerate() {
-            s.insert(SourceId(0), &format!("p{i}"), [("text", *row)]);
-            s.commit();
-        }
-        assert_eq!(s.retained().pairs(), p.retained().pairs());
-        let fp = s.footprint();
-        assert_eq!(fp.cold_bytes, 0, "frames live in the spill file");
-        assert!(fp.spilled_bytes > 0);
     }
 
     #[test]

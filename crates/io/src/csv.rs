@@ -1,8 +1,8 @@
 //! A minimal RFC-4180 CSV reader/writer.
 //!
 //! Supports quoted fields containing separators, newlines and escaped
-//! quotes (`""`). Kept dependency-free on purpose: the workspace's external
-//! dependency set stays at the five crates listed in DESIGN.md.
+//! quotes (`""`). Kept dependency-free on purpose: the workspace builds
+//! offline, with no external crates beyond the stand-ins in `vendor/`.
 
 use std::io::{self, BufRead, Write};
 

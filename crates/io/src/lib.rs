@@ -12,15 +12,12 @@
 //! * [`ground_truth`] — read/write match pairs as two-column CSVs of
 //!   external ids.
 //! * [`pairs`] — write retained comparisons with external ids resolved.
-//! * [`spill`] — temp-file spill backend for the graph crate's cold tier.
 
 pub mod collection;
 pub mod csv;
 pub mod ground_truth;
 pub mod pairs;
-pub mod spill;
 
 pub use collection::{read_collection, write_collection, CollectionReadOptions};
 pub use ground_truth::{read_ground_truth, write_ground_truth};
 pub use pairs::write_pairs;
-pub use spill::TempSpillFile;

@@ -177,13 +177,6 @@ pub struct CommitRecord<'a> {
     /// Owner-shard load imbalance of this commit, permille of the mean
     /// shard load (gauge; 1000 = perfectly balanced).
     pub shard_imbalance_permille: i64,
-    /// Rows demoted to the cold tier this commit.
-    pub cold_evictions: u64,
-    /// Cold rows read back this commit (transient decodes + promotions).
-    pub cold_rehydrations: u64,
-    /// Cold-frame bytes resident in memory after the commit (gauge;
-    /// spilled bytes excluded).
-    pub cold_resident_bytes: i64,
 }
 
 /// The commit path's pre-registered write handles over one [`Registry`].
@@ -198,13 +191,13 @@ pub struct CommitMetrics {
     total_secs: Arc<Histogram>,
     phase_hists: [Arc<Histogram>; 6],
     tiers: [Arc<Counter>; 3],
-    counters: [Arc<Counter>; 17],
-    gauges: [Arc<Gauge>; 7],
+    counters: [Arc<Counter>; 15],
+    gauges: [Arc<Gauge>; 6],
 }
 
 /// Index order of `CommitMetrics::counters` (kept private; the names are
 /// the contract).
-const COUNTER_NAMES: [&str; 17] = [
+const COUNTER_NAMES: [&str; 15] = [
     names::REPAIR_DIRTY_NODES,
     names::SNAPSHOT_PATCHED_ROWS,
     names::SNAPSHOT_PATCHED_SLOTS,
@@ -220,18 +213,15 @@ const COUNTER_NAMES: [&str; 17] = [
     names::CLEANER_TOUCHED_PROFILES,
     names::SHARD_COMMITS,
     names::SHARD_FRONTIER_PAIRS,
-    names::COLD_EVICTIONS,
-    names::COLD_REHYDRATIONS,
 ];
 
-const GAUGE_NAMES: [&str; 7] = [
+const GAUGE_NAMES: [&str; 6] = [
     names::PIPELINE_RETAINED,
     names::PIPELINE_BLOCKS,
     names::PIPELINE_LIVE_EDGES,
     names::PIPELINE_CACHED_ACCUMULATORS,
     names::INTERNER_SYMBOLS,
     names::SHARD_IMBALANCE,
-    names::COLD_RESIDENT_BYTES,
 ];
 
 impl CommitMetrics {
@@ -314,8 +304,6 @@ impl CommitMetrics {
             r.cleaner_touched_profiles,
             r.sharded_commits,
             r.frontier_pairs,
-            r.cold_evictions,
-            r.cold_rehydrations,
         ];
         for (c, v) in self.counters.iter().zip(values) {
             if v > 0 {
@@ -329,7 +317,6 @@ impl CommitMetrics {
             r.cached_accumulators,
             r.interned_symbols,
             r.shard_imbalance_permille,
-            r.cold_resident_bytes,
         ];
         for (g, v) in self.gauges.iter().zip(levels) {
             g.set(v);
@@ -381,10 +368,6 @@ pub struct CommitTotals {
     pub sharded_commits: u64,
     /// Merge-frontier (cross-shard) pairs processed.
     pub frontier_pairs: u64,
-    /// Rows demoted to the cold tier.
-    pub cold_evictions: u64,
-    /// Cold rows read back (transient decodes + promotions).
-    pub cold_rehydrations: u64,
 }
 
 impl CommitTotals {
@@ -411,8 +394,6 @@ impl CommitTotals {
             cleaner_dirty_keys: s.counter(names::CLEANER_DIRTY_KEYS),
             sharded_commits: s.counter(names::SHARD_COMMITS),
             frontier_pairs: s.counter(names::SHARD_FRONTIER_PAIRS),
-            cold_evictions: s.counter(names::COLD_EVICTIONS),
-            cold_rehydrations: s.counter(names::COLD_REHYDRATIONS),
         }
     }
 
@@ -463,9 +444,6 @@ mod tests {
             sharded_commits: 1,
             frontier_pairs: 9,
             shard_imbalance_permille: 1250,
-            cold_evictions: 5,
-            cold_rehydrations: 3,
-            cold_resident_bytes: 4096,
             ..CommitRecord::default()
         });
         m.record(&CommitRecord {
@@ -489,13 +467,6 @@ mod tests {
         assert!((t.phases.decision_secs - 12e-3).abs() < 1e-9);
         assert_eq!(t.sharded_commits, 1);
         assert_eq!(t.frontier_pairs, 9);
-        assert_eq!(t.cold_evictions, 5);
-        assert_eq!(t.cold_rehydrations, 3);
-        assert_eq!(
-            snap.gauge(names::COLD_RESIDENT_BYTES),
-            Some(0),
-            "last set wins"
-        );
         assert_eq!(snap.gauge(names::PIPELINE_RETAINED), Some(12));
         assert_eq!(snap.gauge(names::PIPELINE_LIVE_EDGES), Some(31));
         assert_eq!(

@@ -122,11 +122,3 @@ pub const SHARD_FRONTIER_PAIRS: &str = "shard.frontier_pairs";
 /// (gauge: 1000 = perfectly balanced, 2000 = the heaviest shard carried
 /// twice the mean shard load).
 pub const SHARD_IMBALANCE: &str = "shard.imbalance";
-
-/// Rows demoted to the cold tier by the residency enforcer (counter).
-pub const COLD_EVICTIONS: &str = "cold.evictions";
-/// Cold rows read back — transiently decoded or promoted hot (counter).
-pub const COLD_REHYDRATIONS: &str = "cold.rehydrations";
-/// Live cold-frame bytes resident in memory; spilled bytes excluded
-/// (gauge).
-pub const COLD_RESIDENT_BYTES: &str = "cold.resident_bytes";

@@ -25,8 +25,8 @@ use crate::epoch::Epoch;
 use crate::metrics::{ServeMetrics, ServeTotals};
 use crate::snapshot::ServeSnapshot;
 use blast_obs::trace::JsonObject;
-use std::io::{BufRead, BufReader, Write as _};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{BufRead, BufReader, Read as _, Write as _};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -142,8 +142,18 @@ fn serve_connection(
     let mut output = stream;
     loop {
         let request = match read_request(&mut input, shutdown) {
-            Ok(Some(r)) => r,
-            Ok(None) => return Ok(()),
+            Ok(Head::Request(r)) => r,
+            Ok(Head::Closed) => return Ok(()),
+            Ok(Head::TooLarge) => {
+                let response = Response::error(431, "request head too large");
+                write_response(&mut output, &response, true)?;
+                // Send FIN behind the reply, then discard what the peer
+                // already sent: closing over unread input would reset the
+                // connection under the reply.
+                output.shutdown(Shutdown::Write)?;
+                let _ = std::io::copy(&mut input.take(MAX_DRAIN_BYTES), &mut std::io::sink());
+                return Ok(());
+            }
             Err(e) if would_block(&e) => {
                 if shutdown.load(Ordering::SeqCst) {
                     return Ok(());
@@ -153,7 +163,7 @@ fn serve_connection(
             Err(_) => return Ok(()),
         };
         let response = route(&request, state, reader);
-        write_response(&mut output, &response)?;
+        write_response(&mut output, &response, request.close)?;
         if request.close {
             return Ok(());
         }
@@ -175,22 +185,31 @@ struct Request {
     close: bool,
 }
 
-/// Reads one request head; `Ok(None)` on a cleanly closed connection.
-fn read_request(
-    input: &mut BufReader<TcpStream>,
-    shutdown: &AtomicBool,
-) -> std::io::Result<Option<Request>> {
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match input.read_line(&mut line) {
-            Ok(0) => return Ok(None),
-            Ok(_) => break,
-            Err(e) if would_block(&e) && !shutdown.load(Ordering::SeqCst) => continue,
-            Err(e) => return Err(e),
-        }
+/// Longest request or header line accepted, line terminator included.
+const MAX_LINE_BYTES: usize = 8 * 1024;
+/// Most header lines accepted in one request head.
+const MAX_HEADERS: usize = 100;
+/// Most bytes discarded from the peer before closing an oversized request.
+const MAX_DRAIN_BYTES: u64 = 1 << 20;
+
+/// What reading one request head produced.
+enum Head {
+    Request(Request),
+    /// The peer closed the connection, possibly mid-head.
+    Closed,
+    /// A line over [`MAX_LINE_BYTES`] or more than [`MAX_HEADERS`] headers.
+    TooLarge,
+}
+
+/// Reads one request head. Read timeouts retry (until shutdown) without
+/// losing the bytes already read.
+fn read_request(input: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> std::io::Result<Head> {
+    let mut line = Vec::new();
+    if let Err(end) = read_line(input, &mut line, shutdown)? {
+        return Ok(end);
     }
-    let mut parts = line.split_whitespace();
+    let request_line = String::from_utf8_lossy(&line);
+    let mut parts = request_line.split_whitespace();
     let method = parts.next().unwrap_or_default().to_string();
     let target = parts.next().unwrap_or_default();
     let (path, query) = match target.split_once('?') {
@@ -199,33 +218,56 @@ fn read_request(
     };
     // Drain headers until the blank line; keep-alive is HTTP/1.1's default.
     let mut close = false;
+    let mut headers = 0usize;
     loop {
-        let mut header = String::new();
-        match input.read_line(&mut header) {
-            Ok(0) => return Ok(None),
-            Ok(_) => {
-                let h = header.trim();
-                if h.is_empty() {
-                    break;
-                }
-                if let Some((name, value)) = h.split_once(':') {
-                    if name.eq_ignore_ascii_case("connection")
-                        && value.trim().eq_ignore_ascii_case("close")
-                    {
-                        close = true;
-                    }
-                }
+        if let Err(end) = read_line(input, &mut line, shutdown)? {
+            return Ok(end);
+        }
+        let header = String::from_utf8_lossy(&line);
+        let h = header.trim();
+        if h.is_empty() {
+            break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Ok(Head::TooLarge);
+        }
+        if let Some((name, value)) = h.split_once(':') {
+            if name.eq_ignore_ascii_case("connection") && value.trim().eq_ignore_ascii_case("close")
+            {
+                close = true;
             }
-            Err(e) if would_block(&e) && !shutdown.load(Ordering::SeqCst) => continue,
-            Err(e) => return Err(e),
         }
     }
-    Ok(Some(Request {
+    Ok(Head::Request(Request {
         method,
         path,
         query,
         close,
     }))
+}
+
+/// Reads one `\n`-terminated line of at most [`MAX_LINE_BYTES`] into `line`
+/// (cleared first). `Ok(Err(_))` ends the head early: the peer closed, or
+/// the line is too long.
+fn read_line(
+    input: &mut BufReader<TcpStream>,
+    line: &mut Vec<u8>,
+    shutdown: &AtomicBool,
+) -> std::io::Result<Result<(), Head>> {
+    line.clear();
+    loop {
+        // `read_until` keeps what it read before an error in `line`, so a
+        // timeout mid-line resumes where it stopped.
+        let room = (MAX_LINE_BYTES - line.len()) as u64;
+        match input.take(room).read_until(b'\n', line) {
+            Ok(_) if line.ends_with(b"\n") => return Ok(Ok(())),
+            Ok(_) if line.len() >= MAX_LINE_BYTES => return Ok(Err(Head::TooLarge)),
+            Ok(_) => return Ok(Err(Head::Closed)),
+            Err(e) if would_block(&e) && !shutdown.load(Ordering::SeqCst) => continue,
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// An HTTP response about to be written.
@@ -252,21 +294,23 @@ impl Response {
     }
 }
 
-fn write_response(output: &mut TcpStream, r: &Response) -> std::io::Result<()> {
+fn write_response(output: &mut TcpStream, r: &Response, close: bool) -> std::io::Result<()> {
     let reason = match r.status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        431 => "Request Header Fields Too Large",
         _ => "Error",
     };
     write!(
         output,
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n{}",
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
         r.status,
         reason,
         r.content_type,
         r.body.len(),
+        if close { "close" } else { "keep-alive" },
         r.body
     )?;
     output.flush()
@@ -496,6 +540,60 @@ mod tests {
                 std::str::from_utf8(&body).unwrap()
             ));
         }
+        server.shutdown();
+    }
+
+    /// Writes `parts` with `pause` between them, then reads the whole
+    /// response (the request asks to close) and returns its status.
+    fn exchange(addr: SocketAddr, parts: &[&[u8]], pause: Duration) -> u16 {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        for (i, part) in parts.iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(pause);
+            }
+            stream.write_all(part).expect("request");
+        }
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("response");
+        raw.split_whitespace()
+            .nth(1)
+            .and_then(|s| s.parse().ok())
+            .expect("status line")
+    }
+
+    #[test]
+    fn request_split_across_read_timeouts_is_reassembled() {
+        let server = Server::start(test_state(), "127.0.0.1:0", 1).expect("bind");
+        // The pause outlasts the server's 200 ms read timeout, mid-line.
+        let status = exchange(
+            server.addr(),
+            &[
+                b"GET /st",
+                b"ats HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            ],
+            Duration::from_millis(300),
+        );
+        assert_eq!(status, 200);
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_request_heads_get_431_and_the_worker_moves_on() {
+        let server = Server::start(test_state(), "127.0.0.1:0", 1).expect("bind");
+        let addr = server.addr();
+        let long_line = vec![b'a'; 64 * 1024];
+        assert_eq!(exchange(addr, &[&long_line], Duration::ZERO), 431);
+        let mut many_headers = b"GET /stats HTTP/1.1\r\n".to_vec();
+        for i in 0..=MAX_HEADERS {
+            many_headers.extend_from_slice(format!("X-{i}: v\r\n").as_bytes());
+        }
+        many_headers.extend_from_slice(b"\r\n");
+        assert_eq!(exchange(addr, &[&many_headers], Duration::ZERO), 431);
+        // The single worker is free again.
+        assert_eq!(get(addr, "/stats").0, 200);
         server.shutdown();
     }
 

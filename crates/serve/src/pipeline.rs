@@ -134,20 +134,7 @@ impl ServePipeline {
             .map(|&(a, b)| (a.0, b.0))
             .collect();
         // Weights are stamped from the engine's post-commit accumulators —
-        // the same inputs the pruning decision used. Under a memory
-        // budget the residency sweep may have demoted the endpoints' slot
-        // rows right after the commit; rehydrate them here, on the
-        // writer, so published readers never observe (or pay for) a cold
-        // slot.
-        let mut endpoints: Vec<u32> = outcome
-            .delta
-            .added
-            .iter()
-            .flat_map(|&(a, b)| [a.0, b.0])
-            .collect();
-        endpoints.sort_unstable();
-        endpoints.dedup();
-        self.inner.prepare_reads(&endpoints);
+        // the same inputs the pruning decision used.
         update.added = outcome
             .delta
             .added

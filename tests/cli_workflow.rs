@@ -210,6 +210,85 @@ fn stream_rejects_unknown_pruning() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// `--scheme chi2` names BLAST's default χ² weigher: under blast pruning
+/// it reports and retains exactly what the run with no `--scheme` does.
+#[test]
+fn scheme_chi2_names_the_default_blast_weigher() {
+    let dir = temp_dir("stream-chi2");
+    let d = dir.to_str().unwrap();
+    run(&s(&[
+        "generate",
+        "--preset",
+        "census",
+        "--scale",
+        "0.1",
+        "--out-dir",
+        d,
+    ]));
+    let data = format!("{d}/data.csv");
+    let stream_args = |scheme: &[&str]| {
+        let mut argv = s(&[
+            "--input",
+            &data,
+            "--id-column",
+            "_id",
+            "--batch-size",
+            "16",
+            "--pruning",
+            "blast",
+        ]);
+        argv.extend(s(scheme));
+        argv
+    };
+    let stream = |scheme: &[&str]| {
+        let mut argv = s(&["stream", "--verify"]);
+        argv.extend(stream_args(scheme));
+        run(&argv)
+    };
+    let default_report = stream(&[]);
+    assert!(default_report.contains("verify: incremental == batch"));
+    assert_eq!(stream(&["--scheme", "chi2"]), default_report);
+    assert_eq!(stream(&["--scheme", "CHI2"]), default_report);
+
+    // The retained pairs themselves, through the builder `stream` uses.
+    let collection = blast::io::read_collection(
+        &mut std::io::BufReader::new(fs::File::open(&data).unwrap()),
+        blast::datamodel::SourceId(0),
+        &blast::io::CollectionReadOptions {
+            id_column: Some("_id".to_string()),
+        },
+    )
+    .unwrap();
+    let retained = |scheme: &[&str]| {
+        let args = blast_cli::args::Args::parse(&stream_args(scheme)).unwrap();
+        let mut p = blast_cli::commands::incremental_pipeline(&args).unwrap();
+        for profile in collection.profiles() {
+            p.insert(
+                blast::datamodel::SourceId(0),
+                &profile.external_id,
+                profile
+                    .values
+                    .iter()
+                    .map(|(a, v)| (collection.attribute_name(*a), &**v)),
+            );
+        }
+        p.commit();
+        p.retained().pairs().to_vec()
+    };
+    let default_pairs = retained(&[]);
+    assert!(!default_pairs.is_empty());
+    assert_eq!(retained(&["--scheme", "chi2"]), default_pairs);
+
+    let err = blast_cli::run(&{
+        let mut argv = s(&["stream"]);
+        argv.extend(stream_args(&["--scheme", "nope"]));
+        argv
+    })
+    .unwrap_err();
+    assert!(err.contains("chi2|arcs|cbs|ecbs|js|ejs"), "{err}");
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bad_preset_is_reported() {
     let dir = temp_dir("bad");

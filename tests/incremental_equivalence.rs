@@ -46,6 +46,11 @@ fn all_prunings() -> Vec<IncrementalPruning> {
     v
 }
 
+/// A scripted mutation over free text: kind as in [`Op`], a selector into
+/// the live profiles in insertion order (0 = the longest-lived), and the
+/// new value.
+type TextOp = (u8, usize, String);
+
 /// Applies `ops` to a dirty-ER pipeline, committing every `commit_every`
 /// mutations, and asserts the contract at every commit.
 fn check_dirty_sequence(
@@ -56,15 +61,43 @@ fn check_dirty_sequence(
     cleaning: CleaningConfig,
     label: &str,
 ) {
+    let text_ops: Vec<TextOp> = ops
+        .iter()
+        .map(|(kind, target, tokens)| (*kind, *target as usize, value_of(tokens)))
+        .collect();
+    check_text_sequence(&text_ops, commit_every, weigher, pruning, cleaning, label);
+}
+
+/// [`check_dirty_sequence`] over free-text values. Returns the repair-tier
+/// counts `[dirty, reweigh, full]` of the commits after the first (which
+/// initialises the blocker).
+fn check_text_sequence(
+    ops: &[TextOp],
+    commit_every: usize,
+    weigher: impl EdgeWeigher + Send + Clone + 'static,
+    pruning: IncrementalPruning,
+    cleaning: CleaningConfig,
+    label: &str,
+) -> [usize; 3] {
     let mut p = IncrementalPipeline::dirty(weigher, pruning, cleaning);
     let mut ids: Vec<ProfileId> = Vec::new();
     let mut since = 0usize;
     let mut mirror: BTreeSet<(ProfileId, ProfileId)> = BTreeSet::new();
+    let mut tiers = [0usize; 3];
+    let mut commits = 0usize;
 
-    let commit_and_check = |p: &mut IncrementalPipeline,
-                            mirror: &mut BTreeSet<(ProfileId, ProfileId)>,
-                            step: usize| {
+    let mut commit_and_check = |p: &mut IncrementalPipeline,
+                                mirror: &mut BTreeSet<(ProfileId, ProfileId)>,
+                                step: usize| {
         let out = p.commit();
+        commits += 1;
+        if commits > 1 {
+            tiers[match out.stats.tier {
+                RepairTier::Dirty => 0,
+                RepairTier::Reweigh => 1,
+                RepairTier::Full => 2,
+            }] += 1;
+        }
         // Contract: bit-identical to the from-scratch batch run.
         assert_eq!(
             p.retained().pairs(),
@@ -86,8 +119,7 @@ fn check_dirty_sequence(
         );
     };
 
-    for (step, (kind, target, tokens)) in ops.iter().enumerate() {
-        let value = value_of(tokens);
+    for (step, (kind, target, value)) in ops.iter().enumerate() {
         let live: Vec<ProfileId> = ids
             .iter()
             .copied()
@@ -103,11 +135,11 @@ fn check_dirty_sequence(
                 ids.push(id);
             }
             1 if !live.is_empty() => {
-                let id = live[*target as usize % live.len()];
+                let id = live[target % live.len()];
                 p.update(id, [("text", value.as_str())]);
             }
             2 if !live.is_empty() => {
-                let id = live[*target as usize % live.len()];
+                let id = live[target % live.len()];
                 p.delete(id);
             }
             _ => {
@@ -130,6 +162,7 @@ fn check_dirty_sequence(
     if p.has_pending() {
         commit_and_check(&mut p, &mut mirror, ops.len());
     }
+    tiers
 }
 
 fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
@@ -275,12 +308,24 @@ proptest! {
     }
 }
 
-/// The full 6 × 5 grid (plus χ² × BLAST pruning) on one scripted sequence
-/// that exercises insert, co-occurrence growth, update and delete — the
-/// acceptance grid, deterministic and exhaustive.
+/// The full 6 × 5 grid (plus χ² × BLAST pruning) over scripted sequences —
+/// the acceptance grid, deterministic and exhaustive. Besides the basic
+/// script (insert, co-occurrence growth, update and delete), four
+/// adversarial stream shapes:
+///
+/// * **communities** — two disjoint token communities, each touched only
+///   on alternating commits, so every commit's dirty set sits in the
+///   community the previous commit left alone;
+/// * **drift** — a hub-plus-chain insert history that moves |B| and Σ|b|
+///   every commit, forcing tier-2 reweighs under the global-statistic
+///   schemes;
+/// * **cnp-budget** — progressively token-richer profiles that drift
+///   CNP's default per-node budget k across integer boundaries;
+/// * **long-lived** — the oldest live profile is deleted after it has
+///   survived many commits, interleaved with fresh inserts.
 #[test]
 fn scripted_sequence_full_grid() {
-    let ops: Vec<Op> = vec![
+    let basic: Vec<Op> = vec![
         (0, 0, vec![0, 1, 2]),    // insert p0: alpha beta gamma
         (0, 0, vec![0, 1, 3]),    // insert p1: alpha beta delta
         (0, 0, vec![2, 3, 4]),    // insert p2: gamma delta epsilon
@@ -293,27 +338,96 @@ fn scripted_sequence_full_grid() {
         (2, 1, vec![0]),          // delete another
         (0, 0, vec![1, 2, 9]),    // insert p6: beta gamma kappa
     ];
-    for commit_every in [1usize, 4] {
-        for scheme in WeightingScheme::ALL {
-            for algorithm in PruningAlgorithm::ALL {
-                check_dirty_sequence(
-                    &ops,
-                    commit_every,
-                    scheme,
-                    IncrementalPruning::Traditional(algorithm),
-                    CleaningConfig::default(),
-                    &format!("grid {}/{}", scheme.name(), algorithm.label()),
-                );
+    let basic: Vec<TextOp> = basic
+        .iter()
+        .map(|(kind, target, tokens)| (*kind, *target as usize, value_of(tokens)))
+        .collect();
+    let insert = |text: String| (0u8, 0usize, text);
+    let mut communities: Vec<TextOp> = (0..4)
+        .flat_map(|i| {
+            [
+                insert(format!("alpha beta gamma a{i}")),
+                insert(format!("zeta eta theta b{i}")),
+            ]
+        })
+        .collect();
+    // Live order is a0 b0 a1 b1 …: even selectors hit community A.
+    communities.extend((1..=10usize).map(|round| {
+        let (side, stem) = if round % 2 == 1 {
+            (0, "alpha beta gamma")
+        } else {
+            (1, "zeta eta theta")
+        };
+        (1u8, 2 * (round % 4) + side, format!("{stem} r{round}"))
+    }));
+    let drift: Vec<TextOp> = (0..24usize)
+        .map(|i| insert(format!("alpha c{} c{i}", i.saturating_sub(1))))
+        .collect();
+    let cnp_budget: Vec<TextOp> = (0..40usize)
+        .map(|i| {
+            insert(
+                (0..=(2 + i))
+                    .map(|t| format!("h{t}"))
+                    .collect::<Vec<_>>()
+                    .join(" "),
+            )
+        })
+        .collect();
+    let mut long_lived: Vec<TextOp> = (0..8usize)
+        .map(|i| insert(format!("alpha beta shared t{}", i % 3)))
+        .collect();
+    for i in 0..5usize {
+        long_lived.push(insert(format!("beta shared t{} n{i}", i % 2)));
+        long_lived.push((2, 0, String::new()));
+    }
+    let scripts = [
+        ("basic", &basic),
+        ("communities", &communities),
+        ("drift", &drift),
+        ("cnp-budget", &cnp_budget),
+        ("long-lived", &long_lived),
+    ];
+    for (script, ops) in scripts {
+        for commit_every in [1usize, 4] {
+            for scheme in WeightingScheme::ALL {
+                for algorithm in PruningAlgorithm::ALL {
+                    let label = format!(
+                        "{script} every={commit_every} {}/{}",
+                        scheme.name(),
+                        algorithm.label()
+                    );
+                    let [_, reweigh, _] = check_text_sequence(
+                        ops,
+                        commit_every,
+                        scheme,
+                        IncrementalPruning::Traditional(algorithm),
+                        CleaningConfig::default(),
+                        &label,
+                    );
+                    // The shapes must reach the tier they target.
+                    let global = matches!(scheme, WeightingScheme::Ejs | WeightingScheme::Ecbs);
+                    let cnp = matches!(algorithm, PruningAlgorithm::Cnp1 | PruningAlgorithm::Cnp2);
+                    if commit_every == 1
+                        && ((script == "drift" && global)
+                            || (script == "cnp-budget" && cnp && scheme == WeightingScheme::Cbs))
+                    {
+                        assert!(reweigh > 0, "{label}: never reached the reweigh tier");
+                    }
+                }
+            }
+            let label = format!("{script} every={commit_every} chi2/blast");
+            let [_, reweigh, _] = check_text_sequence(
+                ops,
+                commit_every,
+                ChiSquaredWeigher::without_entropy(),
+                IncrementalPruning::blast(),
+                CleaningConfig::default(),
+                &label,
+            );
+            if commit_every == 1 && script == "drift" {
+                assert!(reweigh > 0, "{label}: never reached the reweigh tier");
             }
         }
-        check_dirty_sequence(
-            &ops,
-            commit_every,
-            ChiSquaredWeigher::without_entropy(),
-            IncrementalPruning::blast(),
-            CleaningConfig::default(),
-            "grid chi2/blast",
-        );
     }
 }
 

@@ -12,18 +12,11 @@ use blast_datagen::{dirty_preset, generate_dirty, DirtyPreset};
 use blast_datamodel::entity::SourceId;
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::weights::WeightingScheme;
-use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning, ResidencyPolicy};
+use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning};
 
 /// Streams the full census preset (1000 profiles) and returns the pipeline
 /// after the final commit.
 fn stream_census(pruning: IncrementalPruning) -> (IncrementalPipeline, usize) {
-    stream_census_with(pruning, None)
-}
-
-fn stream_census_with(
-    pruning: IncrementalPruning,
-    residency: Option<ResidencyPolicy>,
-) -> (IncrementalPipeline, usize) {
     let (input, _) = generate_dirty(&dirty_preset(DirtyPreset::Census));
     let d = input.collection(SourceId(0));
     // Same cleaning shape as the memory phase of `exp_incremental`: bound
@@ -35,9 +28,6 @@ fn stream_census_with(
         filter_ratio: 0.8,
     };
     let mut p = IncrementalPipeline::dirty(WeightingScheme::Cbs, pruning, cleaning);
-    if let Some(policy) = residency {
-        p = p.with_residency(policy);
-    }
     let quarter = (d.len() / 4).max(1);
     for (i, profile) in d.profiles().iter().enumerate() {
         p.insert(
@@ -112,83 +102,4 @@ fn footprint_grows_from_empty_to_loaded() {
     assert!(loaded.index_bytes > 0);
     assert!(loaded.snapshot_bytes > 0);
     assert!(loaded.blocker_bytes > 0);
-    // An unbudgeted pipeline has no cold tier at all.
-    assert_eq!(loaded.cold_bytes, 0);
-    assert_eq!(loaded.spilled_bytes, 0);
-}
-
-/// The hot/cold split of the footprint: a budgeted census run demotes most
-/// evictable bytes out of the hot structures into the cold arena, the two
-/// tiers are counted exactly once, and the budgeted hot footprint lands
-/// well under the unbudgeted one.
-#[test]
-fn budgeted_footprint_splits_hot_and_cold_without_double_counting() {
-    let pruning = IncrementalPruning::Traditional(PruningAlgorithm::Wnp1);
-    let (unbudgeted, n) = stream_census(pruning);
-    let base = unbudgeted.footprint();
-    let policy = ResidencyPolicy {
-        budget_bytes: 0,
-        idle_commits: 0,
-        spill: false,
-    };
-    let (budgeted, _) = stream_census_with(pruning, Some(policy));
-    let fp = budgeted.footprint();
-
-    // The cold tier exists and holds real bytes…
-    assert!(
-        fp.cold_bytes > 0,
-        "zero budget must leave frames in the cold arena"
-    );
-    assert_eq!(fp.spilled_bytes, 0, "spill is off for this run");
-    // …and the demoted postings really left the hot index. (The snapshot's
-    // hot estimate *grows* at this scale: per-slot residency bookkeeping —
-    // a cold `FrameRef` and a touch epoch — outweighs the small census
-    // membership rows it frees; only at 10⁵–10⁶ profiles do the rows
-    // dominate. The index's posting lists are big enough to win already.)
-    assert!(
-        fp.index_bytes < base.index_bytes,
-        "eviction freed no posting bytes: {} B vs unbudgeted {} B",
-        fp.index_bytes,
-        base.index_bytes
-    );
-    // No double counting: hot + cold stays within the unbudgeted total
-    // plus a modest delta-encoding/arena-bookkeeping allowance.
-    assert!(
-        fp.total_bytes() <= base.total_bytes() + base.total_bytes() / 4,
-        "hot+cold exceeds the unbudgeted footprint: {} vs {}",
-        fp.total_bytes(),
-        base.total_bytes()
-    );
-    // The headline ceiling holds with the cold tier counted in.
-    let per_profile = fp.total_bytes() as f64 / n as f64;
-    assert!(
-        per_profile < 1600.0,
-        "budgeted census footprint regressed: {per_profile:.1} B/profile"
-    );
-    // And the run was not a no-op residency-wise.
-    let stats = budgeted.cold_stats();
-    assert!(stats.evictions > 0 && stats.rehydrations > 0);
-}
-
-/// With spill enabled the cold bytes leave the process entirely: the
-/// in-memory cold arena stays empty and the spilled ledger carries the
-/// frames instead — total_bytes() (a *resident* estimate) excludes them.
-#[test]
-fn spilled_footprint_moves_cold_bytes_out_of_memory() {
-    let pruning = IncrementalPruning::Traditional(PruningAlgorithm::Wnp1);
-    let policy = ResidencyPolicy {
-        budget_bytes: 0,
-        idle_commits: 0,
-        spill: true,
-    };
-    let (p, _) = stream_census_with(pruning, Some(policy));
-    let fp = p.footprint();
-    assert_eq!(
-        fp.cold_bytes, 0,
-        "spilled frames must not be memory-resident"
-    );
-    assert!(
-        fp.spilled_bytes > 0,
-        "the spill ledger must carry the frames"
-    );
 }

@@ -21,7 +21,7 @@
 use blast_datamodel::entity::{ProfileId, SourceId};
 use blast_graph::meta::PruningAlgorithm;
 use blast_graph::weights::WeightingScheme;
-use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning, ResidencyPolicy};
+use blast_incremental::{CleaningConfig, IncrementalPipeline, IncrementalPruning};
 use blast_serve::{ServePipeline, ServeSnapshot};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -99,20 +99,13 @@ fn assert_internally_consistent(snap: &ServeSnapshot) {
 }
 
 /// Streams `ops` through a serve pipeline while `READERS` threads pin and
-/// check every version they observe. With a `residency` policy the writer
-/// runs under a memory budget — readers must still never observe a torn,
-/// stale or panicking view (the writer rehydrates published neighbourhoods
-/// before every swap).
-fn hammer(ops: &[Op], commit_every: usize, residency: Option<ResidencyPolicy>) {
-    let mut engine = IncrementalPipeline::dirty(
+/// check every version they observe.
+fn hammer(ops: &[Op], commit_every: usize) {
+    let mut p = ServePipeline::new(IncrementalPipeline::dirty(
         WeightingScheme::Cbs,
         IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
         CleaningConfig::none(),
-    );
-    if let Some(policy) = residency {
-        engine = engine.with_residency(policy);
-    }
-    let mut p = ServePipeline::new(engine);
+    ));
     let done = Arc::new(AtomicBool::new(false));
 
     let readers: Vec<_> = (0..READERS)
@@ -198,16 +191,6 @@ fn hammer(ops: &[Op], commit_every: usize, residency: Option<ResidencyPolicy>) {
         p.verify_equivalence(),
         "final published snapshot diverges from the engine/batch run"
     );
-    if let Some(policy) = residency {
-        let stats = p.inner().cold_stats();
-        if policy.budget_bytes == 0 {
-            assert!(stats.evictions > 0, "zero budget must demote rows");
-            assert!(
-                stats.rehydrations > 0,
-                "later commits must read back demoted rows"
-            );
-        }
-    }
     done.store(true, Ordering::Release);
 
     for handle in readers {
@@ -231,24 +214,7 @@ proptest! {
         ops in op_strategy(),
         commit_every in 1usize..4,
     ) {
-        hammer(&ops, commit_every, None);
-    }
-
-    /// The same contract with the writer under the tightest possible
-    /// memory budget (evict everything after every commit, spilled to
-    /// disk): publication must rehydrate whatever a reader could touch,
-    /// so pinned views stay complete and bit-identical while the engine's
-    /// working set lives in the cold tier.
-    #[test]
-    fn prop_concurrent_reads_survive_a_tight_budget(
-        ops in op_strategy(),
-        commit_every in 1usize..4,
-    ) {
-        hammer(
-            &ops,
-            commit_every,
-            Some(ResidencyPolicy { budget_bytes: 0, idle_commits: 0, spill: true }),
-        );
+        hammer(&ops, commit_every);
     }
 }
 
@@ -260,23 +226,5 @@ fn scripted_stream_hammers_reclamation() {
     let ops: Vec<Op> = (0..40u8)
         .map(|i| (i % 3, i / 3, vec![i % 10, (i / 2) % 10]))
         .collect();
-    hammer(&ops, 1, None);
-}
-
-/// Deterministic tight-budget variant of the hammer: every commit demotes
-/// the full working set, every publish rehydrates what readers can reach.
-#[test]
-fn scripted_stream_hammers_under_zero_budget() {
-    let ops: Vec<Op> = (0..40u8)
-        .map(|i| (i % 3, i / 3, vec![i % 10, (i / 2) % 10]))
-        .collect();
-    hammer(
-        &ops,
-        1,
-        Some(ResidencyPolicy {
-            budget_bytes: 0,
-            idle_commits: 0,
-            spill: false,
-        }),
-    );
+    hammer(&ops, 1);
 }
