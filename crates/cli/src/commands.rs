@@ -235,12 +235,6 @@ fn trace_event(
         .field_u64("patched_rows", out.stats.patched_rows as u64)
         .field_u64("retention_flips", out.stats.retention_flips as u64)
         .field_u64("threshold_crossers", out.stats.threshold_crossers as u64)
-        .field_u64("shards", out.stats.shards as u64)
-        .field_u64("frontier_pairs", out.stats.frontier_pairs as u64)
-        .field_u64(
-            "shard_imbalance_permille",
-            out.stats.shard_imbalance_permille,
-        )
         .field_f64("total_secs", out.timings.total_secs())
         .field_raw("phases", &out.timings.bench_json())
         .field_u64("live_edges", fp.live_edges as u64)
@@ -252,7 +246,7 @@ fn trace_event(
 
 /// Builds the incremental pipeline `blast stream`/`bench`/`serve` share
 /// from the common options: `--pruning`, `--scheme`, `--no-cleaning`,
-/// `--threads`, `--shards`.
+/// `--threads`.
 pub fn incremental_pipeline(args: &Args) -> Result<blast_incremental::IncrementalPipeline, String> {
     use blast_graph::meta::PruningAlgorithm;
     use blast_graph::weights::{EdgeWeigher as _, WeightingScheme};
@@ -301,9 +295,6 @@ pub fn incremental_pipeline(args: &Args) -> Result<blast_incremental::Incrementa
     let parallel = args.parallel_opts()?;
     if let Some(t) = parallel.threads {
         pipeline = pipeline.with_threads(t);
-    }
-    if let Some(s) = parallel.shards {
-        pipeline = pipeline.with_shards(s);
     }
     Ok(pipeline)
 }
@@ -393,13 +384,6 @@ pub fn stream(args: &Args) -> Result<String, String> {
                 out.stats.threshold_crossers,
                 out.timings.human_micros(),
             );
-            if out.stats.shards > 1 {
-                let _ = writeln!(
-                    report,
-                    "    shards: {} owner shards, frontier pairs = {}, imbalance = {}‰",
-                    out.stats.shards, out.stats.frontier_pairs, out.stats.shard_imbalance_permille,
-                );
-            }
         }
         if let Some(w) = trace.as_mut() {
             let line = trace_event(batch_no, chunk.len(), &pipeline, &out);
@@ -424,13 +408,6 @@ pub fn stream(args: &Args) -> Result<String, String> {
             totals.repair_summary(),
             pipeline.snapshot().version(),
         );
-        if totals.sharded_commits > 0 {
-            let _ = writeln!(
-                report,
-                "sharded: {} of {} commits multi-shard, {} merge-frontier pairs",
-                totals.sharded_commits, totals.commits, totals.frontier_pairs,
-            );
-        }
         let fp = pipeline.footprint();
         let _ = writeln!(
             report,
@@ -551,9 +528,9 @@ pub fn generate(args: &Args) -> Result<String, String> {
 
 /// `blast bench`: generate a dirty preset in memory and stream it through
 /// the incremental pipeline, reporting commit throughput — the quick
-/// harness for the multi-core knobs (`--threads`, `--shards`; both also
-/// honoured by `blast stream`, and `BLAST_THREADS` overrides the default
-/// when `--threads` is absent).
+/// harness for the multi-core setting (`--threads`, also honoured by
+/// `blast stream`; `BLAST_THREADS` overrides the default when `--threads`
+/// is absent).
 pub fn bench(args: &Args) -> Result<String, String> {
     use blast_obs::CommitTotals;
     use std::time::Instant;
@@ -595,13 +572,6 @@ pub fn bench(args: &Args) -> Result<String, String> {
         pipeline.retained().len(),
     );
     let _ = writeln!(report, "{}", totals.repair_summary());
-    if totals.sharded_commits > 0 {
-        let _ = writeln!(
-            report,
-            "sharded: {} of {} commits multi-shard, {} merge-frontier pairs",
-            totals.sharded_commits, totals.commits, totals.frontier_pairs,
-        );
-    }
 
     if args.flag("verify") {
         let batch = pipeline.batch_retained();

@@ -6,8 +6,8 @@
 //! blast block    --d1 a.csv --d2 b.csv --out pairs.csv [--gt gt.csv] [options]
 //! blast dedup    --input data.csv --out pairs.csv [--gt gt.csv] [options]
 //! blast stream   --input data.csv --batch-size 64 [--pruning wnp1] [--verify] [--stats]
-//!                [--threads 4] [--shards 4] [--trace out.jsonl] [--metrics out.prom]
-//! blast bench    --preset census --scale 0.05 [--threads 4] [--shards 4] [--verify]
+//!                [--threads 4] [--trace out.jsonl] [--metrics out.prom]
+//! blast bench    --preset census --scale 0.05 [--threads 4] [--verify]
 //! blast serve    --preset census --scale 0.05 [--port 0] [--threads 4] [--linger 5]
 //! blast schema   --d1 a.csv --d2 b.csv
 //! blast evaluate --d1 a.csv --d2 b.csv --pairs pairs.csv --gt gt.csv
@@ -55,9 +55,8 @@ const STREAM_USAGE: &str = "\
                  [--verify]  (check the final candidate set against a
                  from-scratch batch run — the equivalence contract)
                  [--threads N]  (worker threads for the parallel phases;
-                 defaults to auto-scaling, or the BLAST_THREADS env var)
-                 [--shards S]  (owner shards of the sharded commit path —
-                 bit-identical output at any S; see README)
+                 defaults to auto-scaling, or the BLAST_THREADS env var;
+                 bit-identical output at any count)
                  [--stats]  (per-commit RepairStats: dirty nodes, patched
                  CSR rows, full-rebuild fallbacks, phase timings)
                  [--trace OUT.jsonl]  (structured trace journal: one JSON
@@ -67,7 +66,7 @@ const STREAM_USAGE: &str = "\
 
 const BENCH_USAGE: &str = "\
   blast bench    [--preset census] [--scale 0.05] [--batch-size 64]
-                 [--threads N] [--shards S] [--pruning ...] [--scheme ...]
+                 [--threads N] [--pruning ...] [--scheme ...]
                  [--no-cleaning]  (generate a dirty preset in memory,
                  stream it, report commit throughput)
                  [--verify]  (check the final candidate set against a
@@ -81,7 +80,7 @@ const SERVE_USAGE: &str = "\
                  address is printed as 'serving on http://...' on stdout)
                  [--threads N]  (HTTP reader-pool size and pipeline worker
                  threads; defaults to auto-scaling, or the BLAST_THREADS
-                 env var) [--shards S] [--pruning ...] [--scheme ...]
+                 env var) [--pruning ...] [--scheme ...]
                  [--no-cleaning]
                  [--linger SECS]  (keep serving after the ingest drains)
                  [--verify]  (gate on published == incremental == batch)
@@ -147,7 +146,6 @@ const COMMANDS: &[Command] = &[
             "pruning",
             "scheme",
             "threads",
-            "shards",
             "trace",
             "metrics",
         ],
@@ -162,7 +160,6 @@ const COMMANDS: &[Command] = &[
             "scale",
             "batch-size",
             "threads",
-            "shards",
             "pruning",
             "scheme",
         ],
@@ -180,7 +177,6 @@ const COMMANDS: &[Command] = &[
             "port",
             "linger",
             "threads",
-            "shards",
             "pruning",
             "scheme",
         ],

@@ -32,7 +32,6 @@
 //! the key, so the tree shape — and every traversal order — is a function
 //! of the key *set*, independent of insertion history.
 
-use crate::shard::{merge_shard_runs, ShardPlan, ShardStats};
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::parallel_work_steal;
 use blast_graph::context::{EdgeAccum, GraphSnapshot};
@@ -183,8 +182,10 @@ impl OrderedWeightIndex {
     /// deterministic tie order "higher priority wins, equal priorities go
     /// to the smaller key" — exactly what `OrderedWeightIndex::merge`'s
     /// `>=` implements, since its left tree always holds the smaller keys
-    /// — the treap over a key set is unique, whatever built it.
-    pub fn rebuild(&mut self, edges: impl IntoIterator<Item = (u32, u32, f64)>) {
+    /// — the treap over a key set is unique, whatever built it. `threads`
+    /// sizes the Σw reduction (the pipeline's thread count); the result
+    /// does not depend on it.
+    pub fn rebuild(&mut self, edges: impl IntoIterator<Item = (u32, u32, f64)>, threads: usize) {
         TREAP_BULK_REBUILDS.inc();
         self.clear();
         for (u, v, w) in edges {
@@ -198,13 +199,13 @@ impl OrderedWeightIndex {
                 size: 1,
             });
         }
-        // Σw via shard-parallel exact partial sums: the integer
+        // Σw via per-chunk exact partial sums: the integer
         // superaccumulator merge is order-independent bit-for-bit
         // (`ExactSum::merge`), so chunked reduction equals the serial fold.
         let nodes = &self.nodes;
         let partials = parallel_work_steal(
             nodes.len(),
-            blast_datamodel::parallel::default_threads(nodes.len()),
+            threads,
             1 << 16,
             || (),
             |_, range| {
@@ -552,7 +553,7 @@ struct CachedEdge {
 /// old weights, and — through the cached accumulators — the reweigh tier's
 /// input: when a global scalar (|B|, degrees, |E_G|) drifts, every clean
 /// edge's weight is re-derived from its cached local factors and the
-/// patched snapshot ([`EdgeAdjacency::reweigh_clean`]) instead of
+/// patched snapshot ([`EdgeAdjacency::reweigh_clean_parallel`]) instead of
 /// re-accumulated from the blocks. Clean rows are patched by binary-search
 /// surgery proportional to the dirty neighbourhood. Entries are stored
 /// packed (`CachedEdge`, 24 bytes) with the entropy tally elided until
@@ -826,8 +827,8 @@ impl EdgeAdjacency {
     /// batch re-weighting follows from the factored-weight contract.
     ///
     /// The serial reference implementation; the commit path runs
-    /// [`EdgeAdjacency::reweigh_clean_sharded`], which must reproduce this
-    /// output bit-for-bit (pinned by the unit test below and the sharded
+    /// [`EdgeAdjacency::reweigh_clean_parallel`], which must reproduce this
+    /// output bit-for-bit (pinned by the unit test below and the thread
     /// equivalence property tests).
     pub fn reweigh_clean(
         &mut self,
@@ -859,47 +860,36 @@ impl EdgeAdjacency {
         swept
     }
 
-    /// The shard-parallel reweigh sweep — what the commit path runs.
+    /// The parallel reweigh sweep — what the commit path runs.
     ///
-    /// Each owner shard scans its own adjacency rows ascending and
-    /// re-derives its clean edges' weights in parallel on the
-    /// work-stealing scheduler (the compute is read-only: weights are pure
-    /// functions of the cached accumulator plus O(1) snapshot statistics).
-    /// The per-shard runs — each already in canonical `(u, v)` order — are
-    /// then reduced at the **merge frontier**
-    /// ([`crate::shard::merge_shard_runs`]) into the single canonical
-    /// sequence the serial sweep produces, and the re-keyed weights are
-    /// applied to the mirrored rows in that canonical order. Cross-shard
-    /// edges are accounted to `ShardStats::frontier_pairs` along the way.
+    /// Rows `0..n` are scanned on the work-stealing scheduler and each
+    /// clean edge's weight is re-derived (the compute is read-only: weights
+    /// are pure functions of the cached accumulator plus O(1) snapshot
+    /// statistics). Concatenating the chunks in chunk order yields the
+    /// canonical `(u, v)` sequence, and the re-keyed weights are applied to
+    /// the mirrored rows in that order.
     ///
-    /// Bit-identical to [`EdgeAdjacency::reweigh_clean`] at every shard
-    /// and thread count: the chunk geometry of the compute pass cannot
-    /// affect per-edge bits, and the merge restores the exact serial
-    /// order before anything stateful happens.
-    pub fn reweigh_clean_sharded(
+    /// Bit-identical to [`EdgeAdjacency::reweigh_clean`] at every thread
+    /// count: the chunk geometry cannot affect per-edge bits, and nothing
+    /// stateful happens before the canonical sequence is assembled.
+    pub fn reweigh_clean_parallel(
         &mut self,
         ctx: &GraphSnapshot,
         weigher: &dyn EdgeWeigher,
         mask: &EpochMask,
-        plan: &ShardPlan,
         threads: usize,
-    ) -> (Vec<(u32, u32, f64, f64)>, ShardStats) {
+    ) -> Vec<(u32, u32, f64, f64)> {
         let n = self.rows.len();
-        let owned = plan.owned_nodes(n);
-        // Shard-major scan order: chunk-ordered concatenation of the
-        // work-stolen results is then exactly "each shard's run, in shard
-        // order", each run sorted by (u, v).
-        let order: Vec<u32> = owned.iter().flatten().copied().collect();
         let chunk = (n / 128).clamp(32, 4096);
         let this = &*self;
         let chunks = parallel_work_steal(
-            order.len(),
+            n,
             threads,
             chunk,
             || (),
             |_, range| {
                 let mut out: Vec<(u32, u32, f64, f64)> = Vec::new();
-                for &u in &order[range] {
+                for u in range.start as u32..range.end as u32 {
                     if mask.contains(u) {
                         continue;
                     }
@@ -915,18 +905,7 @@ impl EdgeAdjacency {
                 out
             },
         );
-        // Split the shard-major stream back into one run per shard.
-        let mut runs: Vec<Vec<(u32, u32, f64, f64)>> =
-            (0..plan.shards()).map(|_| Vec::new()).collect();
-        let mut stats = ShardStats::new(plan);
-        for (u, v, ow, nw) in chunks.into_iter().flatten() {
-            stats.record_edge(plan, u, v);
-            runs[plan.shard_of(u)].push((u, v, ow, nw));
-        }
-        debug_assert!(runs
-            .iter()
-            .all(|r| r.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1))));
-        let swept = merge_shard_runs(runs, |&(u, v, _, _)| (u, v));
+        let swept = chunks.concat();
         // Apply the re-keyed weights in canonical order (mirrored rows).
         for &(u, v, ow, nw) in &swept {
             if nw.to_bits() != ow.to_bits() {
@@ -939,7 +918,7 @@ impl EdgeAdjacency {
                 }
             }
         }
-        (swept, stats)
+        swept
     }
 }
 
@@ -1197,11 +1176,11 @@ mod tests {
         assert_eq!(seen, vec![(0, 6.0)]);
     }
 
-    /// The shard-parallel sweep is bit-identical to the serial reference —
-    /// same swept sequence (order included), same patched rows, correct
-    /// frontier accounting — at every shard × thread combination.
+    /// The parallel sweep is bit-identical to the serial reference — same
+    /// swept sequence (order included), same patched rows — at every
+    /// thread count.
     #[test]
-    fn reweigh_clean_sharded_matches_serial_bitwise() {
+    fn reweigh_clean_parallel_matches_serial_bitwise() {
         use blast_blocking::block::Block;
         use blast_blocking::collection::BlockCollection;
         use blast_blocking::key::ClusterId;
@@ -1226,8 +1205,9 @@ mod tests {
             GraphSnapshot::build(&BlockCollection::new(b, false, 64, 64))
         };
 
-        // A deterministic pseudo-random graph over 61 nodes.
-        let n = 61u32;
+        // A deterministic pseudo-random graph over 301 nodes: ten sweep
+        // chunks, which 2 and 8 workers claim in run-dependent order.
+        let n = 301u32;
         let mut edges = Vec::new();
         let mut x = 0x9e37u64;
         for u in 0..n {
@@ -1251,36 +1231,37 @@ mod tests {
         }
         edges.sort_unstable_by_key(|e| (e.u, e.v));
         edges.dedup_by_key(|e| (e.u, e.v));
-        let mask = mask_of(n as usize, &[7, 20, 33]);
+        let mask = mask_of(n as usize, &[7, 20, 33, 150, 299]);
         let ctx = snap(3);
 
         let mut reference = EdgeAdjacency::new();
         reference.ensure_nodes(n as usize);
         reference.load(&edges);
         let expected = reference.reweigh_clean(&ctx, &TimesTotalBlocks, &mask);
-        let expected_rows = reference.all_edges();
+        let expected_rows: Vec<(u32, u32, u64)> = reference
+            .all_edges()
+            .into_iter()
+            .map(|(u, v, w)| (u, v, w.to_bits()))
+            .collect();
         assert!(!expected.is_empty());
+        let bits = |s: &[(u32, u32, f64, f64)]| -> Vec<(u32, u32, u64, u64)> {
+            s.iter()
+                .map(|&(u, v, ow, nw)| (u, v, ow.to_bits(), nw.to_bits()))
+                .collect()
+        };
 
-        for shards in [1usize, 2, 3, 4, 8] {
-            for threads in [1usize, 2, 8] {
-                let mut adj = EdgeAdjacency::new();
-                adj.ensure_nodes(n as usize);
-                adj.load(&edges);
-                let plan = ShardPlan::new(shards);
-                let (swept, stats) =
-                    adj.reweigh_clean_sharded(&ctx, &TimesTotalBlocks, &mask, &plan, threads);
-                assert_eq!(swept, expected, "shards={shards} threads={threads}");
-                assert_eq!(adj.all_edges(), expected_rows);
-                assert_eq!(stats.total(), expected.len());
-                let frontier = expected
-                    .iter()
-                    .filter(|&&(u, v, _, _)| plan.is_frontier(u, v))
-                    .count();
-                assert_eq!(stats.frontier_pairs, frontier);
-                if shards == 1 {
-                    assert_eq!(stats.frontier_pairs, 0);
-                }
-            }
+        for threads in [1usize, 2, 8] {
+            let mut adj = EdgeAdjacency::new();
+            adj.ensure_nodes(n as usize);
+            adj.load(&edges);
+            let swept = adj.reweigh_clean_parallel(&ctx, &TimesTotalBlocks, &mask, threads);
+            assert_eq!(bits(&swept), bits(&expected), "threads={threads}");
+            let rows: Vec<(u32, u32, u64)> = adj
+                .all_edges()
+                .into_iter()
+                .map(|(u, v, w)| (u, v, w.to_bits()))
+                .collect();
+            assert_eq!(rows, expected_rows, "threads={threads}");
         }
     }
 

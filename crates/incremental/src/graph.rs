@@ -18,7 +18,7 @@
 //!    happened outside the dirty neighbourhood. Every weight is a pure function of its cached
 //!    per-edge accumulator plus O(1) snapshot statistics (the
 //!    factored-weight contract of [`EdgeWeigher`]), so the clean edges are
-//!    **re-derived from the cache** ([`EdgeAdjacency::reweigh_clean`]) —
+//!    **re-derived from the cache** ([`EdgeAdjacency::reweigh_clean_parallel`]) —
 //!    no block traversal, no quadratic re-accumulation — and only the
 //!    bit-changed keys are pushed through the ordered-index/retained-index
 //!    /containment-counter flip machinery. EJS never forces a full pass
@@ -81,7 +81,6 @@ use crate::decision::{
     retained_under, ContainmentIndex, EdgeAdjacency, EdgeKey, FreshEdge, Frontier,
     OrderedWeightIndex,
 };
-use crate::shard::{ShardPlan, ShardStats};
 use blast_core::pruning::BlastPruning;
 use blast_datamodel::entity::ProfileId;
 use blast_datamodel::parallel::parallel_work_steal;
@@ -226,16 +225,6 @@ pub struct RepairStats {
     pub decision_secs: f64,
     /// The repair-ladder tier this commit landed on.
     pub tier: RepairTier,
-    /// Shard count of the plan this commit ran under (1 = canonical
-    /// single-shard engine).
-    pub shards: usize,
-    /// Edges this commit processed whose endpoints live in different
-    /// shards — the merge-frontier pairs (always 0 under one shard).
-    pub frontier_pairs: usize,
-    /// Owner-shard load imbalance of this commit's edge work, permille of
-    /// the mean shard load (1000 = perfectly balanced; see
-    /// [`crate::shard::ShardStats::imbalance_permille`]).
-    pub shard_imbalance_permille: u64,
 }
 
 impl RepairStats {
@@ -303,9 +292,6 @@ pub struct IncrementalMetaBlocker {
     prev_cnp_budget: Option<usize>,
     /// One-shot forced degradation (testing/operational escape hatch).
     force_full: bool,
-    /// The shard partitioning the commit path runs under (single-shard by
-    /// default; any plan is bit-identical — see [`crate::shard`]).
-    plan: ShardPlan,
     initialised: bool,
 }
 
@@ -340,7 +326,6 @@ impl IncrementalMetaBlocker {
             mask: EpochMask::new(),
             prev_cnp_budget: None,
             force_full: false,
-            plan: ShardPlan::single(),
             initialised: false,
         }
     }
@@ -353,20 +338,6 @@ impl IncrementalMetaBlocker {
     /// Number of retained comparisons — O(1), maintained from the flips.
     pub fn retained_len(&self) -> usize {
         self.retained_len
-    }
-
-    /// Partitions the commit path over `shards` owner shards (round-robin
-    /// node ownership; see [`crate::shard`]). Any value — including
-    /// mid-stream changes — keeps every commit outcome bit-identical to
-    /// the single-shard engine; the knob only moves where the work runs
-    /// and what the shard instruments report.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.plan = ShardPlan::new(shards);
-    }
-
-    /// The shard plan the commit path currently runs under.
-    pub fn shard_plan(&self) -> ShardPlan {
-        self.plan
     }
 
     /// Forces the next [`IncrementalMetaBlocker::refresh`] onto the
@@ -615,16 +586,8 @@ impl IncrementalMetaBlocker {
             dirty_nodes: dirty.len(),
             edges_reweighed: fresh.len(),
             tier,
-            shards: self.plan.shards(),
             ..RepairStats::default()
         };
-        // Shard accounting of the fresh (dirty-incident) edge work — every
-        // tier does this much; the reweigh tier adds its sweep below.
-        let plan = self.plan;
-        let mut shard_stats = ShardStats::new(&plan);
-        for e in &fresh {
-            shard_stats.record_edge(&plan, e.u, e.v);
-        }
 
         // ---- reweigh tier: re-derive every clean edge from its cached
         // accumulator (no block traversal), then hand the decision stage
@@ -636,10 +599,7 @@ impl IncrementalMetaBlocker {
             RepairTier::Reweigh => {
                 let t_sweep = Instant::now();
                 let adj = self.adj.as_mut().expect("reweigh tier runs on the cache");
-                let (s, sweep_shards) =
-                    adj.reweigh_clean_sharded(ctx, weigher, &self.mask, &plan, ctx.threads());
-                swept = s;
-                shard_stats.merge(&sweep_shards);
+                swept = adj.reweigh_clean_parallel(ctx, weigher, &self.mask, ctx.threads());
                 stats.edges_swept = swept.len();
                 stats.edges_rekeyed = swept
                     .iter()
@@ -666,9 +626,6 @@ impl IncrementalMetaBlocker {
                 stats.reweigh_secs = degree_secs;
             }
         }
-
-        stats.frontier_pairs = shard_stats.frontier_pairs;
-        stats.shard_imbalance_permille = shard_stats.imbalance_permille();
 
         let (added, retracted) = self.repair(
             ctx, weigher, &recompute, &old, &fresh, &swept, &decide, cnp_budget, &mut stats,
@@ -747,7 +704,7 @@ impl IncrementalMetaBlocker {
                 match tier {
                     RepairTier::Full => {
                         adj.clear();
-                        index.rebuild(fresh.iter().map(|e| (e.u, e.v, e.w)));
+                        index.rebuild(fresh.iter().map(|e| (e.u, e.v, e.w)), ctx.threads());
                         adj.load(fresh);
                     }
                     // A heavy drift (many keys moved — the WEP/ECBS case,
@@ -762,7 +719,7 @@ impl IncrementalMetaBlocker {
                     RepairTier::Reweigh
                         if (stats.edges_rekeyed + fresh.len()) * 4 >= index.len().max(1) =>
                     {
-                        index.rebuild(decide.iter().copied());
+                        index.rebuild(decide.iter().copied(), ctx.threads());
                         patch_adjacency(adj, old, fresh);
                     }
                     _ => {

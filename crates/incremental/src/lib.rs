@@ -63,7 +63,6 @@ pub mod decision;
 pub mod graph;
 pub mod index;
 pub mod pipeline;
-pub mod shard;
 pub mod store;
 
 pub use cleaner::{CleaningConfig, IncrementalCleaner};
@@ -71,5 +70,4 @@ pub use decision::{ContainmentIndex, EdgeAdjacency, EdgeKey, Frontier, OrderedWe
 pub use graph::{IncrementalMetaBlocker, IncrementalPruning, PairDelta, RepairStats, RepairTier};
 pub use index::IncrementalBlockIndex;
 pub use pipeline::{CommitOutcome, CommitTimings, IncrementalPipeline, MemoryFootprint};
-pub use shard::{ShardPlan, ShardStats};
 pub use store::{MutableProfileStore, StoreMode};

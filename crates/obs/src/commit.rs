@@ -160,10 +160,6 @@ pub struct CommitRecord<'a> {
     pub cleaner_removed_members: u64,
     /// Profiles whose key list changed.
     pub cleaner_touched_profiles: u64,
-    /// 1 when this commit ran under a multi-shard plan (S > 1).
-    pub sharded_commits: u64,
-    /// Edges processed whose endpoints live in different shards.
-    pub frontier_pairs: u64,
     /// Candidate-set size after the commit (gauge).
     pub retained: i64,
     /// Cleaned-block count after the commit (gauge).
@@ -174,9 +170,6 @@ pub struct CommitRecord<'a> {
     pub cached_accumulators: i64,
     /// Interned token symbols after the commit (gauge).
     pub interned_symbols: i64,
-    /// Owner-shard load imbalance of this commit, permille of the mean
-    /// shard load (gauge; 1000 = perfectly balanced).
-    pub shard_imbalance_permille: i64,
 }
 
 /// The commit path's pre-registered write handles over one [`Registry`].
@@ -191,13 +184,13 @@ pub struct CommitMetrics {
     total_secs: Arc<Histogram>,
     phase_hists: [Arc<Histogram>; 6],
     tiers: [Arc<Counter>; 3],
-    counters: [Arc<Counter>; 15],
-    gauges: [Arc<Gauge>; 6],
+    counters: [Arc<Counter>; 13],
+    gauges: [Arc<Gauge>; 5],
 }
 
 /// Index order of `CommitMetrics::counters` (kept private; the names are
 /// the contract).
-const COUNTER_NAMES: [&str; 15] = [
+const COUNTER_NAMES: [&str; 13] = [
     names::REPAIR_DIRTY_NODES,
     names::SNAPSHOT_PATCHED_ROWS,
     names::SNAPSHOT_PATCHED_SLOTS,
@@ -211,17 +204,14 @@ const COUNTER_NAMES: [&str; 15] = [
     names::CLEANER_DIRTY_KEYS,
     names::CLEANER_REMOVED_MEMBERS,
     names::CLEANER_TOUCHED_PROFILES,
-    names::SHARD_COMMITS,
-    names::SHARD_FRONTIER_PAIRS,
 ];
 
-const GAUGE_NAMES: [&str; 6] = [
+const GAUGE_NAMES: [&str; 5] = [
     names::PIPELINE_RETAINED,
     names::PIPELINE_BLOCKS,
     names::PIPELINE_LIVE_EDGES,
     names::PIPELINE_CACHED_ACCUMULATORS,
     names::INTERNER_SYMBOLS,
-    names::SHARD_IMBALANCE,
 ];
 
 impl CommitMetrics {
@@ -302,8 +292,6 @@ impl CommitMetrics {
             r.cleaner_dirty_keys,
             r.cleaner_removed_members,
             r.cleaner_touched_profiles,
-            r.sharded_commits,
-            r.frontier_pairs,
         ];
         for (c, v) in self.counters.iter().zip(values) {
             if v > 0 {
@@ -316,7 +304,6 @@ impl CommitMetrics {
             r.live_edges,
             r.cached_accumulators,
             r.interned_symbols,
-            r.shard_imbalance_permille,
         ];
         for (g, v) in self.gauges.iter().zip(levels) {
             g.set(v);
@@ -364,10 +351,6 @@ pub struct CommitTotals {
     pub pairs_retracted: u64,
     /// Dirty posting keys drained by the cleaner.
     pub cleaner_dirty_keys: u64,
-    /// Commits that ran under a multi-shard plan.
-    pub sharded_commits: u64,
-    /// Merge-frontier (cross-shard) pairs processed.
-    pub frontier_pairs: u64,
 }
 
 impl CommitTotals {
@@ -392,8 +375,6 @@ impl CommitTotals {
             pairs_added: s.counter(names::COMMIT_PAIRS_ADDED),
             pairs_retracted: s.counter(names::COMMIT_PAIRS_RETRACTED),
             cleaner_dirty_keys: s.counter(names::CLEANER_DIRTY_KEYS),
-            sharded_commits: s.counter(names::SHARD_COMMITS),
-            frontier_pairs: s.counter(names::SHARD_FRONTIER_PAIRS),
         }
     }
 
@@ -441,9 +422,6 @@ mod tests {
             pairs_added: 2,
             retained: 11,
             live_edges: 30,
-            sharded_commits: 1,
-            frontier_pairs: 9,
-            shard_imbalance_permille: 1250,
             ..CommitRecord::default()
         });
         m.record(&CommitRecord {
@@ -452,7 +430,6 @@ mod tests {
             dirty_nodes: 1,
             retained: 12,
             live_edges: 31,
-            shard_imbalance_permille: 1000,
             ..CommitRecord::default()
         });
         let snap = m.snapshot();
@@ -465,15 +442,12 @@ mod tests {
         assert_eq!(t.pairs_added, 2);
         assert!((t.phases.index_secs - 2e-3).abs() < 1e-9);
         assert!((t.phases.decision_secs - 12e-3).abs() < 1e-9);
-        assert_eq!(t.sharded_commits, 1);
-        assert_eq!(t.frontier_pairs, 9);
-        assert_eq!(snap.gauge(names::PIPELINE_RETAINED), Some(12));
-        assert_eq!(snap.gauge(names::PIPELINE_LIVE_EDGES), Some(31));
         assert_eq!(
-            snap.gauge(names::SHARD_IMBALANCE),
-            Some(1000),
+            snap.gauge(names::PIPELINE_RETAINED),
+            Some(12),
             "last set wins"
         );
+        assert_eq!(snap.gauge(names::PIPELINE_LIVE_EDGES), Some(31));
         assert!(t.repair_summary().contains("tiers = 1/1/0"));
     }
 

@@ -144,9 +144,8 @@ fn serve_connection(
         let request = match read_request(&mut input, shutdown) {
             Ok(Head::Request(r)) => r,
             Ok(Head::Closed) => return Ok(()),
-            Ok(Head::TooLarge) => {
-                let response = Response::error(431, "request head too large");
-                write_response(&mut output, &response, true)?;
+            Ok(Head::Refused(status, message)) => {
+                write_response(&mut output, &Response::error(status, message), true)?;
                 // Send FIN behind the reply, then discard what the peer
                 // already sent: closing over unread input would reset the
                 // connection under the reply.
@@ -189,7 +188,10 @@ struct Request {
 const MAX_LINE_BYTES: usize = 8 * 1024;
 /// Most header lines accepted in one request head.
 const MAX_HEADERS: usize = 100;
-/// Most bytes discarded from the peer before closing an oversized request.
+/// Largest `Content-Length` body accepted (and discarded: no endpoint
+/// reads a body).
+const MAX_BODY_BYTES: u64 = 64 * 1024;
+/// Most bytes discarded from the peer before closing a refused request.
 const MAX_DRAIN_BYTES: u64 = 1 << 20;
 
 /// What reading one request head produced.
@@ -197,12 +199,18 @@ enum Head {
     Request(Request),
     /// The peer closed the connection, possibly mid-head.
     Closed,
-    /// A line over [`MAX_LINE_BYTES`] or more than [`MAX_HEADERS`] headers.
-    TooLarge,
+    /// A request answered with this error status and closed: a line over
+    /// [`MAX_LINE_BYTES`] or more than [`MAX_HEADERS`] headers (431), a
+    /// body over [`MAX_BODY_BYTES`] (413), an unreadable `Content-Length`
+    /// (400) or any `Transfer-Encoding` (501).
+    Refused(u16, &'static str),
 }
 
-/// Reads one request head. Read timeouts retry (until shutdown) without
-/// losing the bytes already read.
+const HEAD_TOO_LARGE: Head = Head::Refused(431, "request head too large");
+
+/// Reads one request head and discards its `Content-Length` body, so the
+/// next request on the connection starts where this one ends. Read
+/// timeouts retry (until shutdown) without losing the bytes already read.
 fn read_request(input: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> std::io::Result<Head> {
     let mut line = Vec::new();
     if let Err(end) = read_line(input, &mut line, shutdown)? {
@@ -218,6 +226,7 @@ fn read_request(input: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> std:
     };
     // Drain headers until the blank line; keep-alive is HTTP/1.1's default.
     let mut close = false;
+    let mut body = 0u64;
     let mut headers = 0usize;
     loop {
         if let Err(end) = read_line(input, &mut line, shutdown)? {
@@ -230,13 +239,33 @@ fn read_request(input: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> std:
         }
         headers += 1;
         if headers > MAX_HEADERS {
-            return Ok(Head::TooLarge);
+            return Ok(HEAD_TOO_LARGE);
         }
         if let Some((name, value)) = h.split_once(':') {
-            if name.eq_ignore_ascii_case("connection") && value.trim().eq_ignore_ascii_case("close")
-            {
+            let value = value.trim();
+            if name.eq_ignore_ascii_case("connection") && value.eq_ignore_ascii_case("close") {
                 close = true;
+            } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                return Ok(Head::Refused(501, "Transfer-Encoding is not supported"));
+            } else if name.eq_ignore_ascii_case("content-length") {
+                body = match value.parse::<u64>() {
+                    Ok(n) if n <= MAX_BODY_BYTES => n,
+                    Ok(_) => return Ok(Head::Refused(413, "request body too large")),
+                    Err(_) => return Ok(Head::Refused(400, "invalid Content-Length")),
+                };
             }
+        }
+    }
+    while body > 0 {
+        match input.fill_buf() {
+            Ok([]) => return Ok(Head::Closed),
+            Ok(buffered) => {
+                let n = buffered.len().min(body as usize);
+                input.consume(n);
+                body -= n as u64;
+            }
+            Err(e) if would_block(&e) && !shutdown.load(Ordering::SeqCst) => continue,
+            Err(e) => return Err(e),
         }
     }
     Ok(Head::Request(Request {
@@ -262,7 +291,7 @@ fn read_line(
         let room = (MAX_LINE_BYTES - line.len()) as u64;
         match input.take(room).read_until(b'\n', line) {
             Ok(_) if line.ends_with(b"\n") => return Ok(Ok(())),
-            Ok(_) if line.len() >= MAX_LINE_BYTES => return Ok(Err(Head::TooLarge)),
+            Ok(_) if line.len() >= MAX_LINE_BYTES => return Ok(Err(HEAD_TOO_LARGE)),
             Ok(_) => return Ok(Err(Head::Closed)),
             Err(e) if would_block(&e) && !shutdown.load(Ordering::SeqCst) => continue,
             Err(e) => return Err(e),
@@ -300,7 +329,9 @@ fn write_response(output: &mut TcpStream, r: &Response, close: bool) -> std::io:
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Content Too Large",
         431 => "Request Header Fields Too Large",
+        501 => "Not Implemented",
         _ => "Error",
     };
     write!(
@@ -594,6 +625,62 @@ mod tests {
         assert_eq!(exchange(addr, &[&many_headers], Duration::ZERO), 431);
         // The single worker is free again.
         assert_eq!(get(addr, "/stats").0, 200);
+        server.shutdown();
+    }
+
+    /// The status codes of every response in `raw`, in order.
+    fn statuses(raw: &str) -> Vec<u16> {
+        raw.match_indices("HTTP/1.1 ")
+            .filter_map(|(i, _)| raw[i + 9..].get(..3)?.parse().ok())
+            .collect()
+    }
+
+    #[test]
+    fn request_bodies_are_discarded_and_keep_alive_stays_in_sync() {
+        let server = Server::start(test_state(), "127.0.0.1:0", 1).expect("bind");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream
+            .write_all(
+                b"POST /stats HTTP/1.1\r\nHost: t\r\nContent-Length: 11\r\n\r\nhello world\
+                  GET /stats HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n",
+            )
+            .expect("request");
+        let mut raw = String::new();
+        stream.read_to_string(&mut raw).expect("response");
+        assert_eq!(statuses(&raw), [405, 200], "{raw}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn oversized_or_unreadable_body_lengths_get_refused_and_closed() {
+        let server = Server::start(test_state(), "127.0.0.1:0", 1).expect("bind");
+        let addr = server.addr();
+        let head = format!(
+            "POST /stats HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        let body = vec![b'x'; MAX_BODY_BYTES as usize + 1];
+        assert_eq!(
+            exchange(addr, &[head.as_bytes(), &body], Duration::ZERO),
+            413
+        );
+        let bad = b"POST /stats HTTP/1.1\r\nHost: t\r\nContent-Length: 1x\r\n\r\n";
+        assert_eq!(exchange(addr, &[bad], Duration::ZERO), 400);
+        assert_eq!(get(addr, "/stats").0, 200, "the worker moves on");
+        server.shutdown();
+    }
+
+    #[test]
+    fn transfer_encoding_gets_501_and_close() {
+        let server = Server::start(test_state(), "127.0.0.1:0", 1).expect("bind");
+        let addr = server.addr();
+        let request = b"POST /stats HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n\
+                        5\r\nhello\r\n0\r\n\r\n";
+        assert_eq!(exchange(addr, &[request], Duration::ZERO), 501);
+        assert_eq!(get(addr, "/stats").0, 200, "the worker moves on");
         server.shutdown();
     }
 

@@ -190,9 +190,9 @@ proptest! {
     /// (pre-order fingerprint), same traversal order, same exact Σw —
     /// across random mutation histories with duplicate weights (quarter
     /// steps), negative weights and `-0.0` ties, and whatever the live
-    /// list's arrival order. The two indexes also stay interchangeable
-    /// under further mutation (the rebuild leaves no stale free-list or
-    /// size state behind).
+    /// list's arrival order, at every thread count of the Σw reduction.
+    /// The two indexes also stay interchangeable under further mutation
+    /// (the rebuild leaves no stale free-list or size state behind).
     #[test]
     fn prop_bulk_rebuild_matches_incremental_construction(
         ops in proptest::collection::vec(
@@ -202,18 +202,22 @@ proptest! {
     ) {
         let mut inc = OrderedWeightIndex::new();
         let live = drive_signed(&ops, &mut inc);
+        for threads in [1usize, 2, 8] {
+            let mut bulk = OrderedWeightIndex::new();
+            // The live list arrives in mutation order, not key order — the
+            // rebuild owns the sort.
+            bulk.rebuild(live.iter().copied(), threads);
+            prop_assert_eq!(bulk.len(), inc.len());
+            prop_assert_eq!(shape(&bulk), shape(&inc), "pre-order fingerprint, threads={}", threads);
+            prop_assert_eq!(
+                bulk.sum().round().to_bits(),
+                inc.sum().round().to_bits(),
+                "exact Σw, threads={}",
+                threads
+            );
+        }
         let mut bulk = OrderedWeightIndex::new();
-        // The live list arrives in mutation order, not key order — the
-        // rebuild owns the sort.
-        bulk.rebuild(live.iter().copied());
-
-        prop_assert_eq!(bulk.len(), inc.len());
-        prop_assert_eq!(shape(&bulk), shape(&inc), "pre-order fingerprint");
-        prop_assert_eq!(
-            bulk.sum().round().to_bits(),
-            inc.sum().round().to_bits(),
-            "exact Σw"
-        );
+        bulk.rebuild(live.iter().copied(), 1);
 
         // Further mutations on top of both constructions converge too.
         let mut live_inc = live.clone();
@@ -285,16 +289,48 @@ fn bulk_rebuild_pins_duplicate_and_signed_zero_ties() {
         inc.insert(u, v, w);
     }
     let mut bulk = OrderedWeightIndex::new();
-    bulk.rebuild(edges.iter().copied());
+    bulk.rebuild(edges.iter().copied(), 1);
     assert_eq!(shape(&bulk), shape(&inc), "tie-ridden shapes agree");
     for rank in 0..=edges.len() {
         assert_eq!(bulk.select(rank), inc.select(rank), "rank {rank}");
     }
     assert_eq!(bulk.sum().round().to_bits(), inc.sum().round().to_bits());
     let mut empty = OrderedWeightIndex::new();
-    empty.rebuild(std::iter::empty());
+    empty.rebuild(std::iter::empty(), 1);
     assert_eq!(empty.len(), 0);
     assert_eq!(empty.select(0), None);
+}
+
+/// A rebuild large enough to split the Σw reduction into several chunks:
+/// the tree shape and the exact Σw are bit-identical at 1, 2 and 8
+/// threads, and Σw equals one serial accumulator over the same weights.
+#[test]
+fn bulk_rebuild_is_identical_across_thread_counts() {
+    // Weights spanning 60 orders of magnitude, so a naive chunked f64 sum
+    // would depend on the split.
+    let edges: Vec<(u32, u32, f64)> = (0..150_000u32)
+        .map(|i| {
+            let w = ((i * 37 + 11) as f64).sin() * 10f64.powi((i % 61) as i32 - 30);
+            (i / 400, 400 + i, w)
+        })
+        .collect();
+    let serial = ExactSum::of(edges.iter().map(|&(_, _, w)| w));
+    let mut reference: Option<Vec<(EdgeKey, u64)>> = None;
+    for threads in [1usize, 2, 8] {
+        let mut idx = OrderedWeightIndex::new();
+        idx.rebuild(edges.iter().copied(), threads);
+        assert_eq!(idx.len(), edges.len());
+        assert_eq!(
+            idx.sum().round().to_bits(),
+            serial.round().to_bits(),
+            "exact Σw, threads={threads}"
+        );
+        let s = shape(&idx);
+        match &reference {
+            None => reference = Some(s),
+            Some(r) => assert!(*r == s, "tree shape differs at threads={threads}"),
+        }
+    }
 }
 
 /// f64-bit ordering corner cases pinned deterministically: duplicate

@@ -1,18 +1,17 @@
-//! The sharded commit path's bit-identity contract.
+//! The commit path's bit-identity contract across thread counts.
 //!
-//! The sharded engine (see `blast_incremental::shard`) partitions the
-//! profile space over S owner shards and runs the repair machinery
-//! shard-parallel, resolving cross-shard edges at a deterministic merge
-//! frontier. The contract is absolute: **every commit outcome —
-//! candidate set, delta stream, repair tier — is bit-identical to the
-//! single-shard pipeline at any shard count and any thread count.**
+//! The parallel phases of a commit (fresh-edge weighting, the reweigh
+//! sweep, artefact recomputes, the ordered-index rebuild) run on the
+//! work-stealing scheduler. The contract is absolute: **every commit
+//! outcome — candidate set, delta stream, repair tier — is bit-identical
+//! to the single-thread pipeline at any thread count.**
 //!
 //! Property tests drive random mutation sequences through a reference
-//! single-shard pipeline and re-run the identical stream under shard ×
-//! thread grids, comparing the retained pairs, the per-commit deltas and
-//! the tier at *every* commit (not just the end state). A scripted test
-//! constructs a worst-case collection where every edge crosses the shard
-//! frontier and checks the accounting says so.
+//! single-thread pipeline and re-run the identical stream at other thread
+//! counts, comparing the retained pairs, the per-commit deltas and the
+//! tier at *every* commit (not just the end state). Scripted tests stream
+//! an even/odd pair collection against batch and turn the thread count
+//! mid-stream.
 
 use blast_datamodel::entity::{ProfileId, SourceId};
 use blast_graph::meta::PruningAlgorithm;
@@ -44,7 +43,7 @@ fn op_strategy() -> impl Strategy<Value = Vec<Op>> {
 }
 
 /// The per-commit observations a run produces — everything that must be
-/// bit-identical across shard/thread counts.
+/// bit-identical across thread counts.
 #[derive(Debug, PartialEq)]
 struct CommitTrace {
     retained: Vec<(ProfileId, ProfileId)>,
@@ -53,7 +52,7 @@ struct CommitTrace {
     tier: &'static str,
 }
 
-/// Streams `ops` through a pipeline configured with (`shards`, `threads`),
+/// Streams `ops` through a pipeline pinned to `threads` worker threads,
 /// committing every `commit_every` mutations, and returns the trace.
 fn run_traced(
     ops: &[Op],
@@ -61,12 +60,9 @@ fn run_traced(
     weigher: impl EdgeWeigher + Send + Clone + 'static,
     pruning: IncrementalPruning,
     cleaning: CleaningConfig,
-    shards: usize,
     threads: usize,
 ) -> (Vec<CommitTrace>, IncrementalPipeline) {
-    let mut p = IncrementalPipeline::dirty(weigher, pruning, cleaning)
-        .with_shards(shards)
-        .with_threads(threads);
+    let mut p = IncrementalPipeline::dirty(weigher, pruning, cleaning).with_threads(threads);
     let mut ids: Vec<ProfileId> = Vec::new();
     let mut since = 0usize;
     let mut trace = Vec::new();
@@ -116,16 +112,15 @@ fn run_traced(
     (trace, p)
 }
 
-/// Runs the single-shard reference and a (shards × threads) grid over the
-/// same stream, asserting every commit's trace is identical and the final
-/// state matches a from-scratch batch run.
+/// Runs the single-thread reference and every other count of [`THREADS`]
+/// over the same stream, asserting every commit's trace is identical and
+/// the final state matches a from-scratch batch run.
 fn check_grid(
     ops: &[Op],
     commit_every: usize,
     weigher: impl EdgeWeigher + Send + Clone + 'static,
     pruning: IncrementalPruning,
     cleaning: CleaningConfig,
-    grid: &[(usize, usize)],
     label: &str,
 ) {
     let (reference, ref_pipeline) = run_traced(
@@ -135,47 +130,35 @@ fn check_grid(
         pruning,
         cleaning.clone(),
         1,
-        1,
     );
     assert_eq!(
         ref_pipeline.retained().pairs(),
         ref_pipeline.batch_retained().pairs(),
-        "{label}: single-shard reference diverged from batch"
+        "{label}: single-thread reference diverged from batch"
     );
-    for &(shards, threads) in grid {
+    for &threads in &THREADS[1..] {
         let (trace, _) = run_traced(
             ops,
             commit_every,
             weigher.clone(),
             pruning,
             cleaning.clone(),
-            shards,
             threads,
         );
         assert_eq!(
             trace, reference,
-            "{label}: shards={shards} threads={threads} diverged from single-shard"
+            "{label}: threads={threads} diverged from single-thread"
         );
     }
 }
 
-/// The full shard × thread grid.
-const FULL_GRID: [(usize, usize); 9] = [
-    (1, 1),
-    (1, 2),
-    (1, 8),
-    (2, 1),
-    (2, 2),
-    (2, 8),
-    (4, 1),
-    (4, 2),
-    (4, 8),
-];
+/// The thread counts every stream runs at; the first is the reference.
+const THREADS: [usize; 3] = [1, 2, 8];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Full shard × thread grid on the edge-decision variants (WEP's
+    /// Every thread count on the edge-decision variants (WEP's
     /// exact-sum threshold and CEP's rank-K cutoff are where ordering
     /// bugs would surface), CBS weighting.
     #[test]
@@ -187,38 +170,29 @@ proptest! {
                 WeightingScheme::Cbs,
                 IncrementalPruning::Traditional(algorithm),
                 CleaningConfig::default(),
-                &FULL_GRID,
                 &format!("cbs/{}", algorithm.label()),
             );
         }
     }
 
     /// Every pruning variant (all six traditional + BLAST's own) and every
-    /// weighting scheme, cleaning on and off, with the shard/thread
-    /// assignment cycled through the grid to bound runtime — over the
-    /// whole sweep each (shards, threads) cell is exercised against many
-    /// configurations.
+    /// weighting scheme, cleaning on and off, at every thread count.
     #[test]
-    fn prop_all_configs_sharded(ops in op_strategy(), commit_every in 1usize..4) {
+    fn prop_all_configs_threaded(ops in op_strategy(), commit_every in 1usize..4) {
         let mut prunings: Vec<IncrementalPruning> = PruningAlgorithm::ALL
             .iter()
             .map(|&a| IncrementalPruning::Traditional(a))
             .collect();
         prunings.push(IncrementalPruning::blast());
-        let mut cell = 0usize;
         for cleaning in [CleaningConfig::none(), CleaningConfig::default()] {
             for pruning in &prunings {
                 for scheme in WeightingScheme::ALL {
-                    // Skip (1, 1): that's the reference itself.
-                    let (shards, threads) = FULL_GRID[1 + cell % (FULL_GRID.len() - 1)];
-                    cell += 1;
                     check_grid(
                         &ops,
                         commit_every,
                         scheme,
                         *pruning,
                         cleaning.clone(),
-                        &[(shards, threads)],
                         &format!(
                             "{}/{} cleaning={}",
                             scheme.name(),
@@ -232,76 +206,72 @@ proptest! {
     }
 }
 
-/// Worst case for the merge frontier: a collection where **every** edge
-/// crosses shards. Token group g is shared by exactly profiles 2g and
-/// 2g + 1 — one even, one odd — so under 2 round-robin shards every edge
-/// has one endpoint per shard. The outcome must still be bit-identical,
-/// and the accounting must report every processed edge as a frontier pair.
+/// An even/odd pair collection: token group g is shared by exactly
+/// profiles 2g and 2g + 1, so every edge pairs an even profile with an
+/// odd one and the retained set is a perfect matching. A 40-group seed
+/// commit followed by commits of four groups must equal batch after every
+/// commit and be identical at 1 and 8 threads. The collection is sized so
+/// the parallel phases split into several chunks: the seed's fresh edges,
+/// and under EJS (whose |E_G| drifts every commit) the reweigh sweep.
 #[test]
-fn all_edges_cross_the_frontier() {
-    let build = |shards: usize, threads: usize| {
+fn even_odd_pairs_match_batch_at_any_thread_count() {
+    let build = |scheme: WeightingScheme, threads: usize| {
         let mut p = IncrementalPipeline::dirty(
-            WeightingScheme::Cbs,
+            scheme,
             IncrementalPruning::Traditional(PruningAlgorithm::Wep),
             CleaningConfig::none(),
         )
-        .with_shards(shards)
         .with_threads(threads);
-        let mut frontier_pairs = 0usize;
-        let mut processed = 0usize;
-        for g in 0..12u32 {
+        let mut per_commit = Vec::new();
+        for g in 0..64u32 {
             for half in 0..2u32 {
                 let u = 2 * g + half;
-                // Two tokens per profile so blocks of size two exist:
-                // group g pairs 2g with 2g+1 and nothing else.
+                // Two shared tokens per pair so size-2 blocks exist, plus
+                // a unique one so the profiles are not literal duplicates.
                 p.insert(
                     SourceId(0),
                     &format!("p{u}"),
-                    [("text", format!("tok{g} grp{g}").as_str())],
+                    [("text", format!("tok{g} grp{g} u{u}").as_str())],
                 );
             }
-            let out = p.commit();
-            frontier_pairs += out.stats.frontier_pairs;
-            processed += out.stats.edges_reweighed + out.stats.edges_swept;
+            if g >= 39 && g % 4 == 3 {
+                let out = p.commit();
+                assert_eq!(
+                    p.retained().pairs(),
+                    p.batch_retained().pairs(),
+                    "{}/threads={threads}: stream diverged from batch after group {g}",
+                    scheme.name()
+                );
+                per_commit.push((out.stats.tier.label(), p.retained().pairs().to_vec()));
+            }
         }
-        (p, frontier_pairs, processed)
+        per_commit
     };
 
-    let (reference, zero_frontier, _) = build(1, 1);
-    assert_eq!(zero_frontier, 0, "single shard has no frontier");
-    assert!(!reference.retained().is_empty());
-
-    let (sharded, frontier, processed) = build(2, 4);
-    assert_eq!(
-        sharded.retained().pairs(),
-        reference.retained().pairs(),
-        "all-frontier stream must stay bit-identical"
-    );
-    assert!(processed > 0);
-    assert_eq!(
-        frontier, processed,
-        "every processed edge pairs an even with an odd profile — all frontier"
-    );
-    assert_eq!(
-        sharded.retained().pairs(),
-        sharded.batch_retained().pairs(),
-        "sharded all-frontier stream must equal batch"
-    );
+    for scheme in [WeightingScheme::Cbs, WeightingScheme::Ejs] {
+        let reference = build(scheme, 1);
+        assert!(!reference.last().unwrap().1.is_empty());
+        assert_eq!(
+            build(scheme, 8),
+            reference,
+            "{}: 8 threads diverged from 1 thread",
+            scheme.name()
+        );
+    }
 }
 
 /// `BLAST_THREADS`-style explicit thread pinning mid-stream: turning the
-/// thread and shard knobs *between commits* never changes an outcome.
+/// thread count *between commits* never changes an outcome.
 #[test]
-fn knobs_can_turn_mid_stream() {
-    let stream = |knobs: &[(usize, usize)]| {
+fn threads_can_turn_mid_stream() {
+    let stream = |threads: &[usize]| {
         let mut p = IncrementalPipeline::dirty(
             WeightingScheme::Ejs,
             IncrementalPruning::Traditional(PruningAlgorithm::Wnp1),
             CleaningConfig::default(),
         );
-        for (i, &(shards, threads)) in knobs.iter().enumerate() {
-            p.set_shards(shards);
-            p.set_threads(threads);
+        for (i, &t) in threads.iter().enumerate() {
+            p.set_threads(t);
             for j in 0..4u32 {
                 let u = 4 * i as u32 + j;
                 p.insert(
@@ -314,10 +284,10 @@ fn knobs_can_turn_mid_stream() {
         }
         p.retained().pairs().to_vec()
     };
-    let steady = stream(&[(1, 1); 6]);
-    let wandering = stream(&[(1, 1), (4, 2), (2, 8), (3, 1), (8, 4), (2, 2)]);
+    let steady = stream(&[1; 6]);
+    let wandering = stream(&[1, 2, 8, 1, 4, 2]);
     assert_eq!(
         steady, wandering,
-        "mid-stream knob turns changed the outcome"
+        "mid-stream thread changes changed the outcome"
     );
 }
